@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke bench-json bench-json-smoke fuzz-smoke serve-smoke cluster-smoke loadgen-smoke loadgen-bench validate-smoke validate corpus corpus-smoke estimate-smoke energy-smoke tier1
+.PHONY: check vet build test race golden bench-smoke bench-json bench-json-smoke fuzz-smoke serve-smoke cluster-smoke loadgen-smoke loadgen-bench validate-smoke validate corpus corpus-smoke estimate-smoke energy-smoke tier1
 
-check: vet build race bench-smoke serve-smoke cluster-smoke loadgen-smoke validate-smoke corpus-smoke estimate-smoke energy-smoke fuzz-smoke
+check: vet build race golden bench-smoke bench-json-smoke serve-smoke cluster-smoke loadgen-smoke validate-smoke corpus-smoke estimate-smoke energy-smoke fuzz-smoke
 
 # tier1 is the fast gate the roadmap requires of every change.
 tier1:
@@ -24,6 +24,13 @@ test:
 # real workers even on one CPU; expect this to take several minutes.
 race:
 	$(GO) test -race ./...
+
+# The default-knob regeneration of every table and figure must stay
+# byte-identical to the committed reference (about a minute on two CPUs).
+# After an intended output change, regenerate with:
+#   go run ./cmd/experiments > experiments_output.txt
+golden:
+	$(GO) run ./cmd/experiments | cmp - experiments_output.txt
 
 # One pooled-vs-serial sweep plus the hot-path microbenchmarks, a single
 # iteration each — a smoke test that the benchmarks still build and run,
@@ -126,9 +133,13 @@ energy-smoke:
 
 # 30 seconds of each fuzz target: enough to shake out codec and
 # marker-elimination regressions on fresh inputs without stalling the
-# gate. Longer campaigns: go test ./internal/trace -fuzz FuzzTraceRoundTrip
+# gate. FuzzLoadArtifact caps minimization at 100 runs: its seeds are the
+# committed artifacts (up to 176 KB), and minimizing an input that size
+# under the default 60 s budget stalls the whole smoke run.
+# Longer campaigns: go test ./internal/trace -fuzz FuzzTraceRoundTrip
 fuzz-smoke:
 	$(GO) test ./internal/trace -fuzz FuzzTraceRoundTrip -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/regions -fuzz FuzzMarkerBalance -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/oracle -fuzz FuzzSynthOracleEquivalence -fuzztime 20s -run '^$$'
 	$(GO) test ./internal/oracle -fuzz FuzzPolicyOracleEquivalence -fuzztime 20s -run '^$$'
+	$(GO) test ./internal/report -fuzz FuzzLoadArtifact -fuzztime 20s -fuzzminimizetime 100x -run '^$$'

@@ -42,14 +42,14 @@ func once(key string, f func()) {
 
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table2()
+		rows := experiments.Env{}.Table2()
 		once("table2", func() { report.WriteTable2(os.Stdout, rows) })
 	}
 }
 
 func benchFigure(b *testing.B, f experiments.FigureID) {
 	for i := 0; i < b.N; i++ {
-		sw := experiments.RunFigure(f)
+		sw := experiments.Env{}.Figure(f)
 		once(f.Name(), func() {
 			report.WriteFigure(os.Stdout, f.Name(), sw)
 			if f == experiments.Figure4 {
@@ -68,7 +68,7 @@ func BenchmarkFigure9(b *testing.B) { benchFigure(b, experiments.Figure9) }
 
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table3()
+		rows, _ := experiments.Env{}.Table3()
 		once("table3", func() { report.WriteTable3(os.Stdout, rows) })
 	}
 }
@@ -95,42 +95,42 @@ func BenchmarkPhaseAblation(b *testing.B) {
 	// Decision 2: frozen MAT/SLDT tables while deactivated (the paper's
 	// "we simply ignore the mechanism") versus learning while off.
 	for i := 0; i < b.N; i++ {
-		rows := experiments.FrozenTables(ablationSubset())
+		rows := experiments.Env{}.FrozenTables(ablationSubset())
 		once("frozen", func() { printAblation("frozen-tables", rows) })
 	}
 }
 
 func BenchmarkAblationMarkerElimination(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.MarkerElimination(ablationSubset())
+		rows := experiments.Env{}.MarkerElimination(ablationSubset())
 		once("markers", func() { printAblation("marker-elimination", rows) })
 	}
 }
 
 func BenchmarkAblationPropagation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Propagation(ablationSubset())
+		rows := experiments.Env{}.Propagation(ablationSubset())
 		once("propagation", func() { printAblation("innermost-out propagation", rows) })
 	}
 }
 
 func BenchmarkAblationBypassPolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.BypassPolicy(ablationSubset())
+		rows := experiments.Env{}.BypassPolicy(ablationSubset())
 		once("bypass-policy", func() { printAblation("cold-ceiling bypass policy", rows) })
 	}
 }
 
 func BenchmarkAblationBlockingMemory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.BlockingMemory(ablationSubset())
+		rows := experiments.Env{}.BlockingMemory(ablationSubset())
 		once("blocking", func() { printAblation("blocking memory model", rows) })
 	}
 }
 
 func BenchmarkThresholdSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.ThresholdSweep([]float64{0.1, 0.5, 0.9}, ablationSubset())
+		rows := experiments.Env{}.ThresholdSweep([]float64{0.1, 0.5, 0.9}, ablationSubset())
 		once("threshold", func() {
 			fmt.Println("Region-detection threshold sweep (avg selective improvement %):")
 			for _, r := range rows {
@@ -162,12 +162,12 @@ func BenchmarkParallelSweep(b *testing.B) {
 	o := core.DefaultOptions()
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = experiments.RunSweepWorkers(o, nil, parallel.Serial)
+			_ = experiments.Env{Workers: parallel.Serial}.Sweep(o, nil)
 		}
 	})
 	b.Run("pooled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = experiments.RunSweepWorkers(o, nil, 0)
+			_ = experiments.Env{}.Sweep(o, nil)
 		}
 	})
 }
@@ -269,7 +269,7 @@ func BenchmarkAblationCompilerPasses(b *testing.B) {
 	// Per-pass contribution of the Section 3.2 compiler optimizations on
 	// the regular benchmarks.
 	for i := 0; i < b.N; i++ {
-		rows := experiments.CompilerPasses(nil)
+		rows := experiments.Env{}.CompilerPasses(nil)
 		once("compiler-passes", func() {
 			fmt.Println("Compiler-pass ablation (pure-software improvement %):")
 			fmt.Printf("  %-10s %8s %8s %9s %9s %10s\n",
@@ -286,7 +286,7 @@ func BenchmarkMATDesignSweep(b *testing.B) {
 	// Hardware design space around the paper's MAT/buffer configuration,
 	// averaged over the irregular benchmarks.
 	for i := 0; i < b.N; i++ {
-		rows := experiments.MATDesignSweep(nil)
+		rows := experiments.Env{}.MATDesignSweep(nil)
 		once("mat-design", func() {
 			fmt.Println("Bypass-mechanism design sweep (avg improvement %, irregular codes):")
 			for _, r := range rows {

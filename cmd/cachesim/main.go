@@ -53,23 +53,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	cfg, ok := configByName(*configSel)
+	cfg, ok := sim.ConfigByName(*configSel)
 	if !ok {
 		return fmt.Errorf("unknown config %q", *configSel)
 	}
 	o := core.DefaultOptions()
 	o.Machine = cfg
 	o.Classify = *classify
-	switch *mech {
-	case "bypass":
-		o.Mechanism = sim.HWBypass
-	case "victim":
-		o.Mechanism = sim.HWVictim
-	default:
+	if o.Mechanism, ok = sim.ParseHWKind(*mech); !ok {
 		return fmt.Errorf("unknown mechanism %q", *mech)
 	}
-
-	if *version != "all" && !versionKnown(*version) {
+	if _, ok := core.ParseVersion(*version); *version != "all" && !ok {
 		return fmt.Errorf("unknown version %q", *version)
 	}
 
@@ -105,24 +99,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 func versionSelected(sel string, v core.Version) bool {
 	return sel == "all" || sel == v.String()
-}
-
-func versionKnown(sel string) bool {
-	for _, v := range core.Versions() {
-		if sel == v.String() {
-			return true
-		}
-	}
-	return false
-}
-
-func configByName(name string) (sim.Config, bool) {
-	for _, c := range sim.ExperimentConfigs() {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return sim.Config{}, false
 }
 
 func printResult(w io.Writer, wl workloads.Workload, r, base core.Result) {

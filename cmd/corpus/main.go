@@ -69,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	estimate := fs.Bool("estimate", false, "score the symbolic estimator against the simulator instead of profiling classes")
 	energyOn := fs.Bool("energy", false, "sweep the policy × way-memo grid with the energy model instead of profiling classes")
 	list := fs.Bool("list", false, "list the family names, without running")
-	verify := fs.String("verify", "", "regenerate from this artifact's parameters and require byte equality (schema-sniffed)")
+	verifyPath := fs.String("verify", "", "regenerate from this artifact's parameters and require byte equality (schema-sniffed)")
 	verbose := fs.Bool("v", false, "print every synthesized kernel and spot-check cell")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -84,8 +84,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return nil
 	}
-	if *verify != "" {
-		return verifyArtifact(*verify, *workers, stdout)
+	if *verifyPath != "" {
+		return verifyArtifact(*verifyPath, *workers, stdout)
 	}
 
 	fams, err := selectFamilies(*familiesFlag)
@@ -100,44 +100,26 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *estimate && *energyOn {
 		return fmt.Errorf("-estimate and -energy are mutually exclusive")
 	}
-	if *energyOn {
-		art, err := executeEnergy(spec, o, *workers, stdout, stderr)
-		if err != nil {
-			return err
-		}
-		if *out != "" {
-			if err := art.WriteFile(*out); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", *out)
-		}
-		return nil
+	var art report.Artifact
+	switch {
+	case *energyOn:
+		art, err = executeEnergy(spec, o, *workers, stdout, stderr)
+	case *estimate:
+		art, err = executeEstimate(spec, o, *workers, stdout, stderr)
+	default:
+		art, err = execute(spec, *sample, o, *workers, stdout, stderr, *verbose)
 	}
-	if *estimate {
-		art, err := executeEstimate(spec, o, *workers, stdout, stderr)
-		if err != nil {
-			return err
-		}
-		if *out != "" {
-			if err := art.WriteFile(*out); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", *out)
-		}
-		return nil
-	}
-	art, err := execute(spec, *sample, o, *workers, stdout, stderr, *verbose)
 	if err != nil {
 		return err
 	}
 	if *out != "" {
-		if err := art.WriteFile(*out); err != nil {
+		if err := report.Write(*out, art); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote %s\n", *out)
 	}
-	if art.OracleDivergences > 0 {
-		return fmt.Errorf("%d of %d oracle spot checks diverged", art.OracleDivergences, art.OracleSample)
+	if c, ok := art.(*report.CorpusJSON); ok && c.OracleDivergences > 0 {
+		return fmt.Errorf("%d of %d oracle spot checks diverged", c.OracleDivergences, c.OracleSample)
 	}
 	return nil
 }
@@ -231,135 +213,82 @@ func execute(spec corpus.Spec, sample int, o core.Options, workers int, stdout, 
 // verifyArtifact reruns the pipeline from the committed artifact's own
 // recorded parameters and requires the regenerated artifact to be
 // byte-identical — the determinism regression gate behind `make
-// corpus-smoke` and `make estimate-smoke`. The artifact kind is sniffed
-// from its schema field.
+// corpus-smoke`, `make estimate-smoke` and `make energy-smoke`. The
+// artifact kind is sniffed from its schema field; every kind records the
+// same corpus parameters under the same keys.
 func verifyArtifact(path string, workers int, stdout io.Writer) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	var head struct {
-		Schema string `json:"schema"`
-	}
+	var head corpusParams
 	if err := json.Unmarshal(raw, &head); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	switch head.Schema {
-	case report.EstimateSchema:
-		return verifyEstimateArtifact(path, workers, stdout)
 	case report.CorpusSchema:
-		return verifyCorpusArtifact(path, workers, stdout)
+		return verify(path, head, workers, stdout, "-out", func(want *report.CorpusJSON, in inputs) (*report.CorpusJSON, string, error) {
+			rows := corpus.Sweep(in.kernels, in.o, workers)
+			checks := corpus.SpotCheck(in.kernels, want.OracleSample, in.o, workers)
+			got := corpus.Artifact(in.spec, in.st, in.kernels, rows, checks, in.o)
+			summary := fmt.Sprintf("%d kernels, oracle %d/%d clean", got.Kernels, got.OracleSample-got.OracleDivergences, got.OracleSample)
+			if got.OracleDivergences > 0 {
+				return got, summary, fmt.Errorf("%d oracle spot checks diverged", got.OracleDivergences)
+			}
+			return got, summary, nil
+		})
+	case report.EstimateSchema:
+		return verify(path, head, workers, stdout, "-estimate -out", func(_ *report.EstimateJSON, in inputs) (*report.EstimateJSON, string, error) {
+			rows := corpus.Sweep(in.kernels, in.o, workers)
+			ests := corpus.Estimates(in.kernels, in.o, workers)
+			got := corpus.EstimateArtifact(in.spec, in.st, in.kernels, rows, ests, in.o)
+			return got, fmt.Sprintf("%d kernels, %d exact / %d bounded / %d declined", got.Kernels, got.Exact, got.Bounded, got.Declined), nil
+		})
 	case report.EnergySchema:
-		return verifyEnergyArtifact(path, workers, stdout)
+		return verify(path, head, workers, stdout, "-energy -out", func(_ *report.EnergyJSON, in inputs) (*report.EnergyJSON, string, error) {
+			got := corpus.EnergyArtifact(in.spec, in.st, in.kernels, in.o, workers)
+			return got, fmt.Sprintf("%d kernels × %d combos", got.Kernels, len(got.Combos)), nil
+		})
 	default:
 		return fmt.Errorf("%s: unknown schema %q (want %q, %q or %q)", path, head.Schema, report.CorpusSchema, report.EstimateSchema, report.EnergySchema)
 	}
 }
 
-// verifyEnergyArtifact is the energy-model counterpart: rerun the
-// policy × way-memo sweep from the artifact's recorded parameters and
-// require byte equality.
-func verifyEnergyArtifact(path string, workers int, stdout io.Writer) error {
-	want, err := report.LoadEnergyJSON(path)
-	if err != nil {
-		return err
-	}
-	fams := make([]synth.Family, len(want.Families))
-	for i, name := range want.Families {
-		f, ok := synth.FamilyByName(name)
-		if !ok {
-			return fmt.Errorf("%s: unknown family %q", path, name)
-		}
-		fams[i] = f
-	}
-	o := core.DefaultOptions()
-	if o.Mechanism, err = selectMechanism(want.Mechanism); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if o.Machine.Name != want.Machine {
-		return fmt.Errorf("%s: artifact machine %q, tool simulates %q", path, want.Machine, o.Machine.Name)
-	}
-	spec := corpus.Spec{Families: fams, N: want.Requested, BaseSeed: want.BaseSeed}
-	kernels, st, err := corpus.Build(spec)
-	if err != nil {
-		return err
-	}
-	got := corpus.EnergyArtifact(spec, st, kernels, o, workers)
-
-	wantJSON, err := json.MarshalIndent(want, "", "  ")
-	if err != nil {
-		return err
-	}
-	gotJSON, err := json.MarshalIndent(got, "", "  ")
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(gotJSON, wantJSON) {
-		return fmt.Errorf("%s: regenerated artifact differs from committed file (same parameters must be byte-identical; regenerate with -energy -out if the change is intended)", path)
-	}
-	fmt.Fprintf(stdout, "verify %s: %d kernels × %d combos, artifact regenerates byte-identically\n",
-		path, got.Kernels, len(got.Combos))
-	return nil
+// corpusParams are the fields every corpus artifact kind records to make
+// itself regenerable.
+type corpusParams struct {
+	Schema    string   `json:"schema"`
+	Families  []string `json:"families"`
+	Requested int      `json:"requested"`
+	BaseSeed  uint64   `json:"base_seed"`
+	Machine   string   `json:"machine"`
+	Mechanism string   `json:"mechanism"`
 }
 
-func verifyCorpusArtifact(path string, workers int, stdout io.Writer) error {
-	want, err := report.LoadCorpusJSON(path)
-	if err != nil {
-		return err
-	}
-	fams := make([]synth.Family, len(want.Families))
-	for i, name := range want.Families {
-		f, ok := synth.FamilyByName(name)
-		if !ok {
-			return fmt.Errorf("%s: unknown family %q", path, name)
-		}
-		fams[i] = f
-	}
-	o := core.DefaultOptions()
-	if o.Mechanism, err = selectMechanism(want.Mechanism); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if o.Machine.Name != want.Machine {
-		return fmt.Errorf("%s: artifact machine %q, tool simulates %q", path, want.Machine, o.Machine.Name)
-	}
-	spec := corpus.Spec{Families: fams, N: want.Requested, BaseSeed: want.BaseSeed}
-	kernels, st, err := corpus.Build(spec)
-	if err != nil {
-		return err
-	}
-	rows := corpus.Sweep(kernels, o, workers)
-	checks := corpus.SpotCheck(kernels, want.OracleSample, o, workers)
-	got := corpus.Artifact(spec, st, kernels, rows, checks, o)
-
-	wantJSON, err := json.MarshalIndent(want, "", "  ")
-	if err != nil {
-		return err
-	}
-	gotJSON, err := json.MarshalIndent(got, "", "  ")
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(gotJSON, wantJSON) {
-		return fmt.Errorf("%s: regenerated artifact differs from committed file (same parameters must be byte-identical; regenerate with -out if the change is intended)", path)
-	}
-	fmt.Fprintf(stdout, "verify %s: %d kernels, oracle %d/%d clean, artifact regenerates byte-identically\n",
-		path, got.Kernels, got.OracleSample-got.OracleDivergences, got.OracleSample)
-	if got.OracleDivergences > 0 {
-		return fmt.Errorf("%d oracle spot checks diverged", got.OracleDivergences)
-	}
-	return nil
+// inputs is the rebuilt corpus a verification regenerates from.
+type inputs struct {
+	spec    corpus.Spec
+	st      corpus.BuildStats
+	kernels []synth.Kernel
+	o       core.Options
 }
 
-// verifyEstimateArtifact is the estimator-accuracy counterpart: rerun the
-// simulate-and-score pipeline from the artifact's recorded parameters and
-// require byte equality.
-func verifyEstimateArtifact(path string, workers int, stdout io.Writer) error {
-	want, err := report.LoadEstimateJSON(path)
+// verify loads and validates the committed artifact at path, rebuilds the
+// corpus from its recorded parameters, regenerates the artifact with
+// rebuild, and requires the two to encode byte-identically. rebuild also
+// returns a summary for the success line and any failure the regenerated
+// artifact records, reported after the comparison; regen names the flags
+// that regenerate the artifact after an intended change.
+func verify[T any, P interface {
+	*T
+	report.Artifact
+}](path string, params corpusParams, workers int, stdout io.Writer, regen string, rebuild func(want P, in inputs) (P, string, error)) error {
+	want, err := report.Load[T, P](path)
 	if err != nil {
 		return err
 	}
-	fams := make([]synth.Family, len(want.Families))
-	for i, name := range want.Families {
+	fams := make([]synth.Family, len(params.Families))
+	for i, name := range params.Families {
 		f, ok := synth.FamilyByName(name)
 		if !ok {
 			return fmt.Errorf("%s: unknown family %q", path, name)
@@ -367,35 +296,31 @@ func verifyEstimateArtifact(path string, workers int, stdout io.Writer) error {
 		fams[i] = f
 	}
 	o := core.DefaultOptions()
-	if o.Mechanism, err = selectMechanism(want.Mechanism); err != nil {
+	if o.Mechanism, err = selectMechanism(params.Mechanism); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	if o.Machine.Name != want.Machine {
-		return fmt.Errorf("%s: artifact machine %q, tool simulates %q", path, want.Machine, o.Machine.Name)
+	if o.Machine.Name != params.Machine {
+		return fmt.Errorf("%s: artifact machine %q, tool simulates %q", path, params.Machine, o.Machine.Name)
 	}
-	spec := corpus.Spec{Families: fams, N: want.Requested, BaseSeed: want.BaseSeed}
-	kernels, st, err := corpus.Build(spec)
-	if err != nil {
+	in := inputs{spec: corpus.Spec{Families: fams, N: params.Requested, BaseSeed: params.BaseSeed}, o: o}
+	if in.kernels, in.st, err = corpus.Build(in.spec); err != nil {
 		return err
 	}
-	rows := corpus.Sweep(kernels, o, workers)
-	ests := corpus.Estimates(kernels, o, workers)
-	got := corpus.EstimateArtifact(spec, st, kernels, rows, ests, o)
+	got, summary, failure := rebuild(want, in)
 
-	wantJSON, err := json.MarshalIndent(want, "", "  ")
+	wantJSON, err := report.Marshal(want)
 	if err != nil {
 		return err
 	}
-	gotJSON, err := json.MarshalIndent(got, "", "  ")
+	gotJSON, err := report.Marshal(got)
 	if err != nil {
 		return err
 	}
 	if !bytes.Equal(gotJSON, wantJSON) {
-		return fmt.Errorf("%s: regenerated artifact differs from committed file (same parameters must be byte-identical; regenerate with -estimate -out if the change is intended)", path)
+		return fmt.Errorf("%s: regenerated artifact differs from committed file (same parameters must be byte-identical; regenerate with %s if the change is intended)", path, regen)
 	}
-	fmt.Fprintf(stdout, "verify %s: %d kernels, %d exact / %d bounded / %d declined, artifact regenerates byte-identically\n",
-		path, got.Kernels, got.Exact, got.Bounded, got.Declined)
-	return nil
+	fmt.Fprintf(stdout, "verify %s: %s, artifact regenerates byte-identically\n", path, summary)
+	return failure
 }
 
 func selectFamilies(csv string) ([]synth.Family, error) {
@@ -414,11 +339,8 @@ func selectFamilies(csv string) ([]synth.Family, error) {
 }
 
 func selectMechanism(s string) (sim.HWKind, error) {
-	switch s {
-	case "bypass":
-		return sim.HWBypass, nil
-	case "victim":
-		return sim.HWVictim, nil
+	if k, ok := sim.ParseHWKind(s); ok {
+		return k, nil
 	}
 	return sim.HWNone, fmt.Errorf("unknown mechanism %q (want bypass|victim)", s)
 }

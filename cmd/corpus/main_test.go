@@ -69,7 +69,7 @@ func TestRunSmallCorpusEndToEnd(t *testing.T) {
 			t.Errorf("stdout missing %q:\n%s", want, stdout.String())
 		}
 	}
-	art, err := report.LoadCorpusJSON(out)
+	art, err := report.Load[report.CorpusJSON](out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRunSmallCorpusEndToEnd(t *testing.T) {
 	// Tampering with the committed artifact must fail verification even
 	// when the file still validates structurally.
 	art.Profiles[0].Versions[0].Cycles++
-	if err := art.WriteFile(out); err != nil {
+	if err := report.Write(out, art); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-verify", out}, &stdout, &stderr); err == nil ||
@@ -115,7 +115,7 @@ func TestRunEstimateEndToEnd(t *testing.T) {
 			t.Errorf("stdout missing %q:\n%s", want, stdout.String())
 		}
 	}
-	art, err := report.LoadEstimateJSON(out)
+	art, err := report.Load[report.EstimateJSON](out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestRunEstimateEndToEnd(t *testing.T) {
 	// A tampered accuracy number must fail verification even though the
 	// file still validates structurally.
 	art.Overall[0].MaxAbsErrPct += art.Overall[0].MeanAbsErrPct + 1
-	if err := art.WriteFile(out); err != nil {
+	if err := report.Write(out, art); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-verify", out}, &stdout, &stderr); err == nil ||

@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *verifybench != "" {
-		b, err := report.LoadBenchJSON(*verifybench)
+		b, err := report.Load[report.BenchJSON](*verifybench)
 		if err != nil {
 			return err
 		}
@@ -78,21 +78,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown -run %q", *runSel)
 	}
 
-	// The mechanism-axis flags thread through an OptionMod; at the
-	// defaults the mod stays nil and output is byte-identical to the
-	// committed reference.
-	var mod experiments.OptionMod
-	var pol sim.PolicyKind
-	switch *policySel {
-	case "lru":
-		pol = sim.PolicyLRU
-	case "ehc":
-		pol = sim.PolicyEHC
-	default:
+	// The mechanism-axis flags thread through env.Mod; at the defaults
+	// it stays nil and output is byte-identical to the committed
+	// reference.
+	env := experiments.Env{Workers: *workers, Traces: experiments.NewTraceCache(*tracedir)}
+	pol, ok := sim.ParsePolicyKind(*policySel)
+	if !ok {
 		return fmt.Errorf("unknown -policy %q (lru|ehc)", *policySel)
 	}
 	if pol != sim.PolicyLRU || *waymemo || *energyOn {
-		mod = func(o *core.Options) {
+		env.Mod = func(o *core.Options) {
 			o.Policy = pol
 			o.WayMemo = *waymemo
 			o.Energy = *energyOn
@@ -136,11 +131,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	tc := experiments.NewTraceCache(*tracedir)
 	start := time.Now()
 	var events uint64
 	if doTable2 {
-		rows := experiments.Table2CachedMod(*workers, tc, mod)
+		rows := env.Table2()
 		for _, r := range rows {
 			events += r.Instructions
 			addCell(r.Benchmark, r.Instructions, r.WallNanos)
@@ -149,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if doFigures {
 		for _, f := range experiments.Figures() {
-			sw := experiments.RunFigureCachedMod(f, *workers, tc, mod)
+			sw := env.Figure(f)
 			events += sw.Events()
 			addSweep(sw)
 			report.WriteFigure(stdout, f.Name(), sw)
@@ -162,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if doTable3 {
-		rows, sweeps := experiments.Table3CachedMod(*workers, tc, mod)
+		rows, sweeps := env.Table3()
 		for _, sw := range sweeps {
 			events += sw.Events()
 			addSweep(sw)
@@ -181,13 +175,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Benchmarks: cells,
 		}
 		bj.Finalize()
-		if err := bj.WriteFile(*benchjson); err != nil {
+		if err := report.Write(*benchjson, bj); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "perf artifact: %s (%d benchmarks)\n", *benchjson, len(bj.Benchmarks))
 	}
 
-	writeSummary(stderr, events, elapsed, parallel.Workers(*workers), tc.Stats(), *tracedir != "")
+	writeSummary(stderr, events, elapsed, parallel.Workers(*workers), env.Traces.Stats(), *tracedir != "")
 	return nil
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -66,5 +67,27 @@ func TestWriteSummaryWarnsOnDiskErrors(t *testing.T) {
 	writeSummary(&buf, 5_000_000, 2*time.Second, 4, stats, false)
 	if strings.Contains(buf.String(), "loaded from disk") {
 		t.Errorf("unpersisted run should not mention disk:\n%s", buf.String())
+	}
+}
+
+// TestTable2MatchesGolden regenerates Table 2 through the command and
+// requires it byte-identical to the Table 2 section of the committed
+// experiments_output.txt: the section is a prefix of the golden file, and
+// Figure 4 follows it. `make golden` checks the whole file.
+func TestTable2MatchesGolden(t *testing.T) {
+	golden, err := os.ReadFile("../../experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-run", "table2"}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\n%s", err, stderr.String())
+	}
+	got := stdout.Bytes()
+	if !bytes.HasPrefix(golden, got) {
+		t.Fatalf("-run table2 output differs from experiments_output.txt:\n%s", got)
+	}
+	if rest := golden[len(got):]; !bytes.HasPrefix(rest, []byte("Figure 4:")) {
+		t.Fatalf("-run table2 output ends mid-section; golden continues with %.40q", rest)
 	}
 }

@@ -92,7 +92,7 @@ func main() {
 	flag.Parse()
 
 	if *verify != "" {
-		l, err := report.LoadLoadgenJSON(*verify)
+		l, err := report.Load[report.LoadgenJSON](*verify)
 		if err != nil {
 			fatalf("verify: %v", err)
 		}
@@ -123,7 +123,7 @@ func main() {
 	}
 	hashes := map[string]string{}
 	if *appendTo {
-		prev, err := report.LoadLoadgenJSON(*out)
+		prev, err := report.Load[report.LoadgenJSON](*out)
 		if err != nil {
 			fatalf("append: %v", err)
 		}
@@ -148,7 +148,7 @@ func main() {
 			}
 			art.Phases = append(art.Phases, report.LoadgenPhase{Name: name, Requests: n})
 		}
-		if err := art.WriteFile(*out); err != nil {
+		if err := report.Write(*out, art); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("plan %s: %d base + %d overload requests over %d cells -> %s\n",
@@ -183,7 +183,7 @@ func main() {
 	}
 	art.BodyHashes = hashes
 	art.BodyHashMismatches += mismatches
-	if err := art.WriteFile(*out); err != nil {
+	if err := report.Write(*out, art); err != nil {
 		fatalf("%v", err)
 	}
 	fmt.Printf("wrote %s (digest %s)\n", *out, pl.digest[:12])

@@ -68,10 +68,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 func parseVersion(s string) (core.Version, error) {
-	for _, v := range core.Versions() {
-		if strings.EqualFold(v.String(), s) {
-			return v, nil
-		}
+	if v, ok := core.ParseVersion(strings.ToLower(s)); ok {
+		return v, nil
 	}
 	return 0, fmt.Errorf("unknown version %q (want base|pure-hardware|pure-software|combined|selective)", s)
 }
@@ -126,7 +124,7 @@ func doReplay(stdout io.Writer, path, version string) error {
 	if err != nil {
 		return err
 	}
-	res := core.ReplayTrace(t, v, core.DefaultOptions())
+	res := core.ReplayTrace(t, v, core.DefaultOptions(), nil)
 	st := res.Sim
 	fmt.Fprintf(stdout, "replayed %s as %s:\n", path, v)
 	fmt.Fprintf(stdout, "  cycles        %12d\n", st.Cycles)

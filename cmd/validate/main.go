@@ -178,13 +178,11 @@ func selectWorkloads(csv string, short bool) ([]workloads.Workload, error) {
 }
 
 func selectMechanisms(s string) ([]sim.HWKind, error) {
-	switch s {
-	case "bypass":
-		return []sim.HWKind{sim.HWBypass}, nil
-	case "victim":
-		return []sim.HWKind{sim.HWVictim}, nil
-	case "both":
+	if s == "both" {
 		return []sim.HWKind{sim.HWBypass, sim.HWVictim}, nil
+	}
+	if k, ok := sim.ParseHWKind(s); ok {
+		return []sim.HWKind{k}, nil
 	}
 	return nil, fmt.Errorf("unknown -mech %q (want bypass|victim|both)", s)
 }
@@ -199,13 +197,11 @@ func selectPolicies(s string, short bool) ([]sim.PolicyKind, error) {
 			s = "lru"
 		}
 	}
-	switch s {
-	case "lru":
-		return []sim.PolicyKind{sim.PolicyLRU}, nil
-	case "ehc":
-		return []sim.PolicyKind{sim.PolicyEHC}, nil
-	case "both":
+	if s == "both" {
 		return []sim.PolicyKind{sim.PolicyLRU, sim.PolicyEHC}, nil
+	}
+	if k, ok := sim.ParsePolicyKind(s); ok {
+		return []sim.PolicyKind{k}, nil
 	}
 	return nil, fmt.Errorf("unknown -policy %q (want lru|ehc|both)", s)
 }
@@ -314,7 +310,7 @@ func checkBatchedReplay(c cell) error {
 	o := c.options()
 	t, _, _ := core.RecordTrace(c.workload.Build, c.version, o)
 	sc := core.ReplayTraceScalar(t, c.version, o)
-	ba := core.ReplayTraceBuffered(t, c.version, o, nil)
+	ba := core.ReplayTrace(t, c.version, o, nil)
 	sc.Sim.WallNanos, ba.Sim.WallNanos = 0, 0
 	if sc.Sim != ba.Sim {
 		return fmt.Errorf("batched replay diverges from scalar:\n     scalar  %+v\n     batched %+v", sc.Sim, ba.Sim)

@@ -39,7 +39,7 @@ func TestBatchedReplayEquivalence(t *testing.T) {
 			t.Run(w.Name+"/"+v.String(), func(t *testing.T) {
 				tr, _, _ := core.RecordTrace(w.Build, v, o)
 				sc := core.ReplayTraceScalar(tr, v, o)
-				ba := core.ReplayTraceBuffered(tr, v, o, blk)
+				ba := core.ReplayTrace(tr, v, o, blk)
 				sc.Sim.WallNanos, ba.Sim.WallNanos = 0, 0
 				if sc.Sim != ba.Sim {
 					t.Errorf("batched replay diverges from scalar\nscalar:  %+v\nbatched: %+v", sc.Sim, ba.Sim)

@@ -24,8 +24,8 @@ func main() {
 	ov := ob
 	ov.Mechanism = sim.HWVictim
 
-	bypass := experiments.RunSweep(ob, nil)
-	victim := experiments.RunSweep(ov, nil)
+	bypass := experiments.Env{}.Sweep(ob, nil)
+	victim := experiments.Env{}.Sweep(ov, nil)
 
 	for i := range bypass.Rows {
 		b := bypass.Rows[i].Improv[core.Selective]

@@ -56,6 +56,16 @@ func Versions() []Version {
 	return []Version{Base, PureHardware, PureSoftware, Combined, Selective}
 }
 
+// ParseVersion maps a version name (Version.String) to its version.
+func ParseVersion(s string) (Version, bool) {
+	for _, v := range Versions() {
+		if s == v.String() {
+			return v, true
+		}
+	}
+	return Base, false
+}
+
 // String returns the version name as used in the paper's figures.
 func (v Version) String() string {
 	switch v {

@@ -82,44 +82,36 @@ func RecordTrace(build Builder, v Version, o Options) (*trace.Trace, regions.Sta
 // would (modulo the nondeterministic WallNanos and the fields only a live
 // run has: Program, Regions and Opt stats).
 //
+// Replay goes through the columnar batched engine, decoding into blk: sweep
+// workers replaying hundreds of streams reuse one SoA block per worker
+// (first-touched on that worker, see parallel.Arena) instead of allocating
+// one per replay. A nil blk allocates privately; streams the packed form
+// cannot represent fall back to event-at-a-time replay.
+//
 // The trace must carry v's stream class (see Version.Stream) and have been
 // recorded under options whose Normalized form matches o's; otherwise the
 // statistics describe a stream the version would never emit.
-func ReplayTrace(t *trace.Trace, v Version, o Options) Result {
-	o = o.normalized()
-	machine := sim.NewMachine(o.Machine, simOptions(v, o))
-	start := time.Now()
-	t.Replay(machine)
-	st := machine.Finish()
-	st.WallNanos = time.Since(start).Nanoseconds()
-	return Result{Version: v, Sim: st}
+func ReplayTrace(t *trace.Trace, v Version, o Options, blk *trace.Block) Result {
+	return replay(t, v, o, func(m *sim.Machine) {
+		if !t.ReplayBatched(m, blk) {
+			t.Replay(m)
+		}
+	})
 }
 
 // ReplayTraceScalar is ReplayTrace forced through the event-at-a-time
-// scalar path: the reference the batched engine is validated against
+// path: the reference the batched engine is validated against
 // (cmd/validate, TestBatchedReplayEquivalence).
 func ReplayTraceScalar(t *trace.Trace, v Version, o Options) Result {
-	o = o.normalized()
-	machine := sim.NewMachine(o.Machine, simOptions(v, o))
-	start := time.Now()
-	t.ReplayScalar(machine)
-	st := machine.Finish()
-	st.WallNanos = time.Since(start).Nanoseconds()
-	return Result{Version: v, Sim: st}
+	return replay(t, v, o, func(m *sim.Machine) { t.Replay(m) })
 }
 
-// ReplayTraceBuffered is ReplayTrace with a caller-owned reusable decode
-// block: sweep workers replaying hundreds of streams reuse one SoA block
-// per worker (first-touched on that worker, see parallel.Arena) instead of
-// allocating one per replay. A nil blk allocates privately; streams the
-// packed form cannot represent fall back to the scalar path.
-func ReplayTraceBuffered(t *trace.Trace, v Version, o Options, blk *trace.Block) Result {
+// replay times drive feeding a fresh machine for v under o.
+func replay(t *trace.Trace, v Version, o Options, drive func(*sim.Machine)) Result {
 	o = o.normalized()
 	machine := sim.NewMachine(o.Machine, simOptions(v, o))
 	start := time.Now()
-	if !t.ReplayBatched(machine, blk) {
-		t.ReplayScalar(machine)
-	}
+	drive(machine)
 	st := machine.Finish()
 	st.WallNanos = time.Since(start).Nanoseconds()
 	return Result{Version: v, Sim: st}

@@ -28,7 +28,7 @@ func TestReplayEquivalence(t *testing.T) {
 			t.Run(w.Name+"/"+v.String(), func(t *testing.T) {
 				live := core.Run(w.Build, v, o)
 				tr, _, _ := core.RecordTrace(w.Build, v, o)
-				replayed := core.ReplayTrace(tr, v, o)
+				replayed := core.ReplayTrace(tr, v, o, nil)
 				ls, rs := live.Sim, replayed.Sim
 				ls.WallNanos, rs.WallNanos = 0, 0
 				if ls != rs {

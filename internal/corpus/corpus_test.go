@@ -104,7 +104,7 @@ func TestGoldenCorpusProfile(t *testing.T) {
 
 	path := filepath.Join("testdata", "corpus24.golden.json")
 	tmp := filepath.Join(t.TempDir(), "corpus24.json")
-	if err := art.WriteFile(tmp); err != nil {
+	if err := report.Write(tmp, art); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(tmp)
@@ -226,7 +226,7 @@ func TestArtifactValidates(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("artifact accepted a wrong schema")
 	}
-	if _, err := report.LoadCorpusJSON(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := report.Load[report.CorpusJSON](filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("loaded a missing artifact")
 	}
 }

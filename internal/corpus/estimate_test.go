@@ -112,7 +112,7 @@ func TestEstimateArtifactValidateRejects(t *testing.T) {
 		}
 	}
 
-	if _, err := report.LoadEstimateJSON(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := report.Load[report.EstimateJSON](filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("loaded a missing artifact")
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"selcache/internal/core"
 	"selcache/internal/mat"
-	"selcache/internal/parallel"
 	"selcache/internal/regions"
 	"selcache/internal/sim"
 	"selcache/internal/workloads"
@@ -11,7 +10,7 @@ import (
 
 // The ablations quantify the design decisions DESIGN.md calls out. Each
 // returns per-benchmark selective (or hardware) improvements under the
-// modified design next to the default.
+// modified design next to the default, with e.Mod applied to both.
 
 // AblationRow pairs a benchmark with the improvement under the default and
 // the ablated design.
@@ -21,23 +20,26 @@ type AblationRow struct {
 	Ablated   float64
 }
 
-func runPair(ws []workloads.Workload, v core.Version, def, abl core.Options) []AblationRow {
+// ablation compares the selective improvement under e's options with the
+// improvement under the same options adjusted by ablate, both measured
+// against the base run under e's options.
+func (e Env) ablation(ws []workloads.Workload, ablate func(*core.Options)) []AblationRow {
 	if ws == nil {
 		ws = workloads.All()
 	}
+	def := e.options(nil)
+	abl := def
+	ablate(&abl)
 	// One cache across the pair: the base stream is shared, and ablations
 	// that only change the machine or mechanism parameters (not the
 	// compiler or region configuration) replay the default stream too.
-	tc := NewTraceCache("")
-	return parallel.Map(0, len(ws), func(i int) AblationRow {
+	return cells(e, len(ws), func(r replayer, i int) AblationRow {
 		w := ws[i]
-		base := core.ReplayTrace(tc.Get(w, core.Base, def), core.Base, def)
-		d := core.ReplayTrace(tc.Get(w, v, def), v, def)
-		a := core.ReplayTrace(tc.Get(w, v, abl), v, abl)
+		base := r.replay(w, core.Base, def)
 		return AblationRow{
 			Benchmark: w.Name,
-			Default:   core.Improvement(base, d),
-			Ablated:   core.Improvement(base, a),
+			Default:   core.Improvement(base, r.replay(w, core.Selective, def)),
+			Ablated:   core.Improvement(base, r.replay(w, core.Selective, abl)),
 		}
 	})
 }
@@ -46,52 +48,40 @@ func runPair(ws []workloads.Workload, v core.Version, def, abl core.Options) []A
 // mechanism is deactivated instead of freezing them ("we simply ignore the
 // mechanism"). Learning-while-off dilutes the hardware regions' history
 // with software-region traffic.
-func FrozenTables(ws []workloads.Workload) []AblationRow {
-	def := core.DefaultOptions()
-	abl := def
-	abl.UpdateWhenOff = true
-	return runPair(ws, core.Selective, def, abl)
+func (e Env) FrozenTables(ws []workloads.Workload) []AblationRow {
+	return e.ablation(ws, func(o *core.Options) { o.UpdateWhenOff = true })
 }
 
 // MarkerElimination ablates decision 4: skip the redundant ON/OFF
 // elimination pass, leaving every naive region marker in place.
-func MarkerElimination(ws []workloads.Workload) []AblationRow {
-	def := core.DefaultOptions()
-	abl := def
-	abl.Regions.Eliminate = false
-	return runPair(ws, core.Selective, def, abl)
+func (e Env) MarkerElimination(ws []workloads.Workload) []AblationRow {
+	return e.ablation(ws, func(o *core.Options) { o.Regions.Eliminate = false })
 }
 
 // Propagation ablates decision 3: classify every loop from its own
 // references instead of propagating innermost preferences outward.
-func Propagation(ws []workloads.Workload) []AblationRow {
-	def := core.DefaultOptions()
-	abl := def
-	abl.Regions.Propagate = false
-	return runPair(ws, core.Selective, def, abl)
+func (e Env) Propagation(ws []workloads.Workload) []AblationRow {
+	return e.ablation(ws, func(o *core.Options) { o.Regions.Propagate = false })
 }
 
 // BypassPolicy ablates decision 1: drop the absolute cold ceilings and
 // decide bypassing purely by the relative frequency comparison.
-func BypassPolicy(ws []workloads.Workload) []AblationRow {
-	def := core.DefaultOptions()
-	abl := def
-	m := mat.DefaultConfig()
-	m.ColdMax = 0
-	m.ColdMaxSparse = 0
-	abl.MAT = m
-	return runPair(ws, core.Selective, def, abl)
+func (e Env) BypassPolicy(ws []workloads.Workload) []AblationRow {
+	return e.ablation(ws, func(o *core.Options) {
+		o.MAT = mat.DefaultConfig()
+		o.MAT.ColdMax = 0
+		o.MAT.ColdMaxSparse = 0
+	})
 }
 
 // BlockingMemory ablates decision 5: a fully blocking memory system
 // (Alpha = 1, MLP = 1) instead of the overlap model. Reported for the
 // selective scheme; the orderings should survive, the magnitudes grow.
-func BlockingMemory(ws []workloads.Workload) []AblationRow {
-	def := core.DefaultOptions()
-	abl := def
-	abl.Machine.Alpha = 1
-	abl.Machine.MLP = 1
-	return runPair(ws, core.Selective, def, abl)
+func (e Env) BlockingMemory(ws []workloads.Workload) []AblationRow {
+	return e.ablation(ws, func(o *core.Options) {
+		o.Machine.Alpha = 1
+		o.Machine.MLP = 1
+	})
 }
 
 // ThresholdRow reports the selective improvement at one region-detection
@@ -107,7 +97,7 @@ type ThresholdRow struct {
 // ThresholdSweep reproduces the Section 4.1 claim that the 0.5 threshold is
 // not critical (region reference mixes are 90–100% uniform, so any
 // threshold between the extremes yields the same partition).
-func ThresholdSweep(thresholds []float64, ws []workloads.Workload) []ThresholdRow {
+func (e Env) ThresholdSweep(thresholds []float64, ws []workloads.Workload) []ThresholdRow {
 	if ws == nil {
 		ws = workloads.All()
 	}
@@ -120,19 +110,20 @@ func ThresholdSweep(thresholds []float64, ws []workloads.Workload) []ThresholdRo
 		improvement float64
 		markers     uint64
 	}
-	tc := NewTraceCache("") // base streams shared across thresholds
-	cells := parallel.Map(0, len(thresholds)*len(ws), func(i int) cell {
-		o := core.DefaultOptions()
-		o.Regions = regions.Config{Threshold: thresholds[i/len(ws)], Propagate: true, Eliminate: true}
+	// Base streams are shared across thresholds.
+	results := cells(e, len(thresholds)*len(ws), func(r replayer, i int) cell {
+		o := e.options(func(o *core.Options) {
+			o.Regions = regions.Config{Threshold: thresholds[i/len(ws)], Propagate: true, Eliminate: true}
+		})
 		w := ws[i%len(ws)]
-		base := core.ReplayTrace(tc.Get(w, core.Base, o), core.Base, o)
-		sel := core.ReplayTrace(tc.Get(w, core.Selective, o), core.Selective, o)
+		base := r.replay(w, core.Base, o)
+		sel := r.replay(w, core.Selective, o)
 		return cell{improvement: core.Improvement(base, sel), markers: sel.Sim.Markers}
 	})
 	out := make([]ThresholdRow, 0, len(thresholds))
 	for ti, th := range thresholds {
 		row := ThresholdRow{Threshold: th}
-		for _, c := range cells[ti*len(ws) : (ti+1)*len(ws)] {
+		for _, c := range results[ti*len(ws) : (ti+1)*len(ws)] {
 			row.AvgImprovement += c.improvement
 			row.Markers += c.markers
 		}
@@ -185,30 +176,23 @@ type CompilerPassRow struct {
 
 // CompilerPasses measures each pass's contribution on the given workloads
 // (default: the regular benchmarks, where the compiler does its work).
-func CompilerPasses(ws []workloads.Workload) []CompilerPassRow {
+func (e Env) CompilerPasses(ws []workloads.Workload) []CompilerPassRow {
 	if ws == nil {
 		ws = workloads.ByClass(workloads.Regular)
 	}
-	variant := func(mod func(*core.Options)) core.Options {
-		o := core.DefaultOptions()
-		mod(&o)
-		return o
-	}
-	full := core.DefaultOptions()
-	noIC := variant(func(o *core.Options) { o.Opt.Interchange = false })
-	noLayout := variant(func(o *core.Options) { o.Opt.Layout = false })
-	noTiling := variant(func(o *core.Options) { o.Opt.Tiling = false })
-	noUJ := variant(func(o *core.Options) {
+	full := e.options(nil)
+	noIC := e.options(func(o *core.Options) { o.Opt.Interchange = false })
+	noLayout := e.options(func(o *core.Options) { o.Opt.Layout = false })
+	noTiling := e.options(func(o *core.Options) { o.Opt.Tiling = false })
+	noUJ := e.options(func(o *core.Options) {
 		o.Opt.UnrollJam = false
 		o.Opt.ScalarRepl = false
 	})
-
-	tc := NewTraceCache("")
-	return parallel.Map(0, len(ws), func(i int) CompilerPassRow {
+	return cells(e, len(ws), func(r replayer, i int) CompilerPassRow {
 		w := ws[i]
-		base := core.ReplayTrace(tc.Get(w, core.Base, full), core.Base, full)
+		base := r.replay(w, core.Base, full)
 		imp := func(o core.Options) float64 {
-			return core.Improvement(base, core.ReplayTrace(tc.Get(w, core.PureSoftware, o), core.PureSoftware, o))
+			return core.Improvement(base, r.replay(w, core.PureSoftware, o))
 		}
 		return CompilerPassRow{
 			Benchmark:  w.Name,
@@ -235,7 +219,7 @@ type DesignPointRow struct {
 // words), in the spirit of Johnson & Hwu's own parameter studies. Averages
 // are over ws (default: the irregular benchmarks, where the mechanism
 // works).
-func MATDesignSweep(ws []workloads.Workload) []DesignPointRow {
+func (e Env) MATDesignSweep(ws []workloads.Workload) []DesignPointRow {
 	if ws == nil {
 		ws = workloads.ByClass(workloads.Irregular)
 	}
@@ -256,23 +240,22 @@ func MATDesignSweep(ws []workloads.Workload) []DesignPointRow {
 	type cell struct{ pureHW, selective float64 }
 	// MAT parameters never enter the event stream, so every design point
 	// replays the same base and selective captures.
-	tc := NewTraceCache("")
-	cells := parallel.Map(0, len(points)*len(ws), func(i int) cell {
-		m := mat.DefaultConfig()
-		points[i/len(ws)].mod(&m)
-		o := core.DefaultOptions()
-		o.MAT = m
+	results := cells(e, len(points)*len(ws), func(r replayer, i int) cell {
+		o := e.options(func(o *core.Options) {
+			o.MAT = mat.DefaultConfig()
+			points[i/len(ws)].mod(&o.MAT)
+		})
 		w := ws[i%len(ws)]
-		base := core.ReplayTrace(tc.Get(w, core.Base, o), core.Base, o)
+		base := r.replay(w, core.Base, o)
 		return cell{
-			pureHW:    core.Improvement(base, core.ReplayTrace(tc.Get(w, core.PureHardware, o), core.PureHardware, o)),
-			selective: core.Improvement(base, core.ReplayTrace(tc.Get(w, core.Selective, o), core.Selective, o)),
+			pureHW:    core.Improvement(base, r.replay(w, core.PureHardware, o)),
+			selective: core.Improvement(base, r.replay(w, core.Selective, o)),
 		}
 	})
 	out := make([]DesignPointRow, 0, len(points))
 	for pi, p := range points {
 		row := DesignPointRow{Label: p.label}
-		for _, c := range cells[pi*len(ws) : (pi+1)*len(ws)] {
+		for _, c := range results[pi*len(ws) : (pi+1)*len(ws)] {
 			row.PureHW += c.pureHW
 			row.Selective += c.selective
 		}

@@ -4,14 +4,20 @@
 // (Figures 4–9), the average-improvement summary across both hardware
 // mechanisms (Table 3), and the ablation studies DESIGN.md calls out.
 //
-// Every sweep decomposes into independent cells — one benchmark through all
-// five versions under one configuration and mechanism — that fan out across
-// the internal/parallel worker pool. Results are assembled in cell order,
-// so the output is byte-identical to a serial run (docs/PERFORMANCE.md
-// states the guarantee; TestParallelSweepMatchesSerial enforces it). The
-// exported entry points come in pairs: the historical name uses the default
-// pool, and a *Workers variant takes an explicit worker count, with
-// parallel.Serial as the no-goroutine fallback.
+// Every driver is a method on Env, which carries the three parameters a
+// run takes: the worker count, the trace cache streams replay from, and an
+// adjustment applied to every cell's options. The zero Env is the default
+// run: one worker per CPU, a private trace cache per call, unmodified
+// options. VictimScenario, a single live run, is the one plain function.
+//
+// Every driver decomposes into independent cells — for the sweeps, one
+// benchmark through all five versions under one configuration and
+// mechanism — that fan out across the internal/parallel worker pool, each
+// worker replaying into its own reusable decode block. Results are
+// assembled in cell order, so the output is byte-identical to a serial run
+// (docs/PERFORMANCE.md states the guarantee; TestParallelSweepMatchesSerial
+// and TestAblationsWorkerInvariant enforce it). RunRow exposes one sweep
+// cell to the selcached service.
 package experiments
 
 import (
@@ -22,13 +28,60 @@ import (
 	"selcache/internal/workloads"
 )
 
-// blockArena builds the per-worker arena of reusable SoA decode blocks the
-// sweeps hand to core.ReplayTraceBuffered: one block per worker, padded and
-// first-touched on that worker (parallel.Arena), so replay never allocates
-// per cell and workers never false-share decode state.
-func blockArena(workers int) *parallel.Arena[trace.Block] {
-	return parallel.NewArena(workers, func() *trace.Block {
+// Env is the environment every driver runs under.
+type Env struct {
+	// Workers is the pool size: < 1 means one per CPU, parallel.Serial a
+	// plain loop on the calling goroutine.
+	Workers int
+	// Traces is the stream store shared across drivers, so a caller
+	// running several (cmd/experiments) records each stream once. nil
+	// means a private cache per driver call: each distinct stream is
+	// still recorded only once within that call.
+	Traces *TraceCache
+	// Mod adjusts the options of every cell; nil means no adjustment. The
+	// machine-axis flags of cmd/experiments (-policy, -waymemo, -energy)
+	// thread through it. Mods must only touch machine-level knobs
+	// (replacement policy, way memo, energy, mechanism tables): the
+	// recorded event streams do not depend on those, so the trace cache
+	// stays shared across modded and unmodded runs.
+	Mod func(*core.Options)
+}
+
+// options returns the default options with f and then e.Mod applied.
+func (e Env) options(f func(*core.Options)) core.Options {
+	o := core.DefaultOptions()
+	if f != nil {
+		f(&o)
+	}
+	if e.Mod != nil {
+		e.Mod(&o)
+	}
+	return o
+}
+
+// replayer replays cached streams into one worker's decode block.
+type replayer struct {
+	tc  *TraceCache
+	blk *trace.Block
+}
+
+// replay runs version v of w under o.
+func (r replayer) replay(w workloads.Workload, v core.Version, o core.Options) core.Result {
+	return core.ReplayTrace(r.tc.Get(w, v, o), v, o, r.blk)
+}
+
+// cells runs cell(r, i) for every i in [0, n) across e's worker pool and
+// returns the results in cell order. Every worker replays into its own
+// block from a parallel.Arena — padded and first-touched on that worker —
+// so replay never allocates per cell and workers never false-share decode
+// state.
+func cells[T any](e Env, n int, cell func(r replayer, i int) T) []T {
+	tc := e.Traces.orNew()
+	blocks := parallel.NewArena(e.Workers, func() *trace.Block {
 		return trace.NewBlock(trace.DefaultBlockEvents)
+	})
+	return parallel.MapWorkers(e.Workers, n, func(wk, i int) T {
+		return cell(replayer{tc: tc, blk: blocks.Get(wk)}, i)
 	})
 }
 
@@ -81,16 +134,15 @@ func (sw Sweep) Events() uint64 {
 // is safe to execute on any worker, and its RunStats are byte-identical
 // to a live core.Run (modulo the documented WallNanos nondeterminism).
 func RunRow(w workloads.Workload, o core.Options, tc *TraceCache) Row {
-	return runRow(w, o, tc.orNew(), nil)
+	return replayer{tc: tc.orNew()}.runRow(w, o)
 }
 
-// runRow is RunRow's internal form: tc must be non-nil. blk is the worker's
-// reusable decode block (nil: allocate per replay).
-func runRow(w workloads.Workload, o core.Options, tc *TraceCache, blk *trace.Block) Row {
+// runRow is the sweep cell every driver and RunRow share.
+func (r replayer) runRow(w workloads.Workload, o core.Options) Row {
 	row := Row{Benchmark: w.Name, Class: w.Class}
 	var base core.Result
 	for _, v := range core.Versions() {
-		res := core.ReplayTraceBuffered(tc.Get(w, v, o), v, o, blk)
+		res := r.replay(w, v, o)
 		if v == core.Base {
 			base = res
 		}
@@ -107,12 +159,6 @@ func runRow(w workloads.Workload, o core.Options, tc *TraceCache, blk *trace.Blo
 // assembling cells they ran out of order (the selcached sweep endpoint)
 // must sort rows back into request order first.
 func Assemble(o core.Options, rows []Row) Sweep {
-	return assemble(o, rows)
-}
-
-// assemble computes the sweep aggregates from rows. Accumulation runs in
-// row order, so float summation matches the serial reference exactly.
-func assemble(o core.Options, rows []Row) Sweep {
 	sw := Sweep{Config: o.Machine, Mechanism: o.Mechanism, Rows: rows}
 	for i := range rows {
 		row := &rows[i]
@@ -139,32 +185,17 @@ func assemble(o core.Options, rows []Row) Sweep {
 	return sw
 }
 
-// RunSweep simulates the given workloads (paper order when ws is nil)
-// through all five versions under o, using the default worker pool.
-func RunSweep(o core.Options, ws []workloads.Workload) Sweep {
-	return RunSweepWorkers(o, ws, 0)
-}
-
-// RunSweepWorkers is RunSweep with an explicit worker count (< 1: one per
-// CPU; parallel.Serial: plain loop on the calling goroutine).
-func RunSweepWorkers(o core.Options, ws []workloads.Workload, workers int) Sweep {
-	return RunSweepCached(o, ws, workers, nil)
-}
-
-// RunSweepCached is RunSweepWorkers with an explicit trace cache, so a
-// caller running several sweeps (cmd/experiments, Table3) shares recorded
-// streams across them. A nil cache means a private per-sweep one: each
-// distinct stream is still interpreted only once within the sweep.
-func RunSweepCached(o core.Options, ws []workloads.Workload, workers int, tc *TraceCache) Sweep {
+// Sweep simulates the given workloads (paper order when ws is nil)
+// through all five versions under o, with e.Mod applied.
+func (e Env) Sweep(o core.Options, ws []workloads.Workload) Sweep {
 	if ws == nil {
 		ws = workloads.All()
 	}
-	tc = tc.orNew()
-	blocks := blockArena(workers)
-	rows := parallel.MapWorkers(workers, len(ws), func(wk, i int) Row {
-		return runRow(ws[i], o, tc, blocks.Get(wk))
-	})
-	return assemble(o, rows)
+	if e.Mod != nil {
+		e.Mod(&o)
+	}
+	rows := cells(e, len(ws), func(r replayer, i int) Row { return r.runRow(ws[i], o) })
+	return Assemble(o, rows)
 }
 
 // FigureID identifies one of the paper's per-benchmark figures.
@@ -215,45 +246,15 @@ func Figures() []FigureID {
 	return []FigureID{Figure4, Figure5, Figure6, Figure7, Figure8, Figure9}
 }
 
-// RunFigure reproduces one of Figures 4–9 (cache bypassing as the hardware
-// mechanism, per Section 5.1).
-func RunFigure(f FigureID) Sweep {
-	return RunFigureWorkers(f, 0)
-}
-
-// RunFigureWorkers is RunFigure with an explicit worker count.
-func RunFigureWorkers(f FigureID, workers int) Sweep {
-	return RunFigureCached(f, workers, nil)
-}
-
-// RunFigureCached is RunFigureWorkers with a shared trace cache. Figures
-// 4–9 differ only in machine configuration, so one cache lets all six
-// replay the same 39 recorded streams.
-func RunFigureCached(f FigureID, workers int, tc *TraceCache) Sweep {
-	return RunFigureCachedMod(f, workers, tc, nil)
-}
-
-// OptionMod adjusts the options of every cell in a driver-level run; the
-// machine-axis flags of cmd/experiments (-policy, -waymemo, -energy)
-// thread through it. nil means no adjustment. Mods must only touch
-// machine-level knobs (replacement policy, way memo, energy, mechanism
-// tables) — the recorded event streams do not depend on those, so the
-// trace cache stays shared across modded and unmodded runs.
-type OptionMod func(*core.Options)
-
-func (m OptionMod) apply(o *core.Options) {
-	if m != nil {
-		m(o)
-	}
-}
-
-// RunFigureCachedMod is RunFigureCached with an option adjustment.
-func RunFigureCachedMod(f FigureID, workers int, tc *TraceCache, mod OptionMod) Sweep {
+// Figure reproduces one of Figures 4–9 (cache bypassing as the hardware
+// mechanism, per Section 5.1). The figures differ only in machine
+// configuration, so with a shared e.Traces all six replay the same 39
+// recorded streams.
+func (e Env) Figure(f FigureID) Sweep {
 	o := core.DefaultOptions()
 	o.Machine = f.Config()
 	o.Mechanism = sim.HWBypass
-	mod.apply(&o)
-	return RunSweepCached(o, nil, workers, tc)
+	return e.Sweep(o, nil)
 }
 
 // Table2Row holds one benchmark's characteristics under the base machine
@@ -275,34 +276,14 @@ type Table2Row struct {
 
 // Table2 reproduces the benchmark-characteristics table. Classification of
 // misses is enabled, so it also reports the conflict-miss share the paper
-// quotes in Section 4.2 (53–72%).
-func Table2() []Table2Row {
-	return Table2Workers(0)
-}
-
-// Table2Workers is Table2 with an explicit worker count.
-func Table2Workers(workers int) []Table2Row {
-	return Table2Cached(workers, nil)
-}
-
-// Table2Cached is Table2Workers with a shared trace cache: the base
-// streams it records are the same ones the figures and Table 3 replay.
-func Table2Cached(workers int, tc *TraceCache) []Table2Row {
-	return Table2CachedMod(workers, tc, nil)
-}
-
-// Table2CachedMod is Table2Cached with an option adjustment.
-func Table2CachedMod(workers int, tc *TraceCache, mod OptionMod) []Table2Row {
-	o := core.DefaultOptions()
-	o.Classify = true
-	mod.apply(&o)
+// quotes in Section 4.2 (53–72%). Its base streams are the same ones the
+// figures and Table 3 replay.
+func (e Env) Table2() []Table2Row {
+	o := e.options(func(o *core.Options) { o.Classify = true })
 	ws := workloads.All()
-	tc = tc.orNew()
-	blocks := blockArena(workers)
-	return parallel.MapWorkers(workers, len(ws), func(wk, i int) Table2Row {
+	return cells(e, len(ws), func(r replayer, i int) Table2Row {
 		w := ws[i]
-		res := core.ReplayTraceBuffered(tc.Get(w, core.Base, o), core.Base, o, blocks.Get(wk))
-		s := res.Sim
+		s := r.replay(w, core.Base, o).Sim
 		row := Table2Row{
 			Benchmark:    w.Name,
 			Class:        w.Class,
@@ -332,67 +313,44 @@ type Table3Row struct {
 }
 
 // Table3 reproduces the average-improvement summary for every experiment
-// configuration and both hardware mechanisms.
-func Table3() []Table3Row {
-	return Table3Workers(0)
+// configuration and both hardware mechanisms. It also returns the
+// underlying sweeps, interleaved bypass/victim per configuration
+// (throughput reporting and tests).
+func (e Env) Table3() ([]Table3Row, []Sweep) {
+	return e.table3(nil)
 }
 
-// Table3Workers is Table3 with an explicit worker count.
-func Table3Workers(workers int) []Table3Row {
-	rows, _ := Table3Detail(workers)
-	return rows
-}
-
-// Table3Detail additionally returns the underlying sweeps, interleaved
-// bypass/victim per configuration (throughput reporting and tests).
-func Table3Detail(workers int) ([]Table3Row, []Sweep) {
-	return Table3Cached(workers, nil)
-}
-
-// Table3Cached is Table3Detail with a shared trace cache.
-func Table3Cached(workers int, tc *TraceCache) ([]Table3Row, []Sweep) {
-	return table3Detail(workers, nil, tc, nil)
-}
-
-// Table3CachedMod is Table3Cached with an option adjustment.
-func Table3CachedMod(workers int, tc *TraceCache, mod OptionMod) ([]Table3Row, []Sweep) {
-	return table3Detail(workers, nil, tc, mod)
-}
-
-// table3Detail flattens the full (configuration × mechanism × benchmark)
-// space — 6 × 2 × 13 = 156 cells by default — into one Map call, so the
-// pool stays saturated across sweep boundaries instead of draining twelve
-// times. Every cell replays cached streams: the 780 version runs behind
-// the default table reduce to 39 recordings (13 benchmarks × 3 stream
-// classes; nothing in the key varies across configurations or mechanisms).
-// ws overrides the benchmark list for tests.
-func table3Detail(workers int, ws []workloads.Workload, tc *TraceCache, mod OptionMod) ([]Table3Row, []Sweep) {
+// table3 flattens the full (configuration × mechanism × benchmark) space —
+// 6 × 2 × 13 = 156 cells by default — into one fan-out, so the pool stays
+// saturated across sweep boundaries instead of draining twelve times.
+// Every cell replays cached streams: the 780 version runs behind the
+// default table reduce to 39 recordings (13 benchmarks × 3 stream classes;
+// nothing in the key varies across configurations or mechanisms). ws
+// overrides the benchmark list for tests.
+func (e Env) table3(ws []workloads.Workload) ([]Table3Row, []Sweep) {
 	if ws == nil {
 		ws = workloads.All()
 	}
-	tc = tc.orNew()
 	cfgs := sim.ExperimentConfigs()
 	// Sweep order matches the serial reference: per configuration, bypass
 	// then victim.
 	opts := make([]core.Options, 0, 2*len(cfgs))
 	for _, cfg := range cfgs {
 		for _, mech := range []sim.HWKind{sim.HWBypass, sim.HWVictim} {
-			o := core.DefaultOptions()
-			o.Machine = cfg
-			o.Mechanism = mech
-			mod.apply(&o)
-			opts = append(opts, o)
+			opts = append(opts, e.options(func(o *core.Options) {
+				o.Machine = cfg
+				o.Mechanism = mech
+			}))
 		}
 	}
 
-	blocks := blockArena(workers)
-	rows := parallel.MapWorkers(workers, len(opts)*len(ws), func(wk, i int) Row {
-		return runRow(ws[i%len(ws)], opts[i/len(ws)], tc, blocks.Get(wk))
+	rows := cells(e, len(opts)*len(ws), func(r replayer, i int) Row {
+		return r.runRow(ws[i%len(ws)], opts[i/len(ws)])
 	})
 
 	sweeps := make([]Sweep, len(opts))
 	for j := range opts {
-		sweeps[j] = assemble(opts[j], rows[j*len(ws):(j+1)*len(ws)])
+		sweeps[j] = Assemble(opts[j], rows[j*len(ws):(j+1)*len(ws)])
 	}
 	out := make([]Table3Row, 0, len(cfgs))
 	for ci, cfg := range cfgs {

@@ -24,7 +24,7 @@ func subset() []workloads.Workload {
 }
 
 func TestRunSweepShapes(t *testing.T) {
-	sw := RunSweep(core.DefaultOptions(), subset())
+	sw := Env{}.Sweep(core.DefaultOptions(), subset())
 	if len(sw.Rows) != 3 {
 		t.Fatalf("%d rows", len(sw.Rows))
 	}
@@ -101,7 +101,7 @@ func TestFigureIDs(t *testing.T) {
 func TestVictimSweepNeverLosesToBase(t *testing.T) {
 	o := core.DefaultOptions()
 	o.Mechanism = sim.HWVictim
-	sw := RunSweep(o, subset())
+	sw := Env{}.Sweep(o, subset())
 	for _, row := range sw.Rows {
 		if row.Improv[core.PureHardware] < -0.3 {
 			t.Errorf("%s: victim cache lost %.2f%% to base", row.Benchmark, -row.Improv[core.PureHardware])
@@ -121,7 +121,7 @@ func TestVictimScenario(t *testing.T) {
 }
 
 func TestThresholdInsensitive(t *testing.T) {
-	rows := ThresholdSweep([]float64{0.3, 0.5, 0.7}, subset())
+	rows := Env{}.ThresholdSweep([]float64{0.3, 0.5, 0.7}, subset())
 	if len(rows) != 3 {
 		t.Fatal("row count")
 	}
@@ -135,7 +135,7 @@ func TestThresholdInsensitive(t *testing.T) {
 }
 
 func TestMarkerEliminationAblation(t *testing.T) {
-	rows := MarkerElimination(subset())
+	rows := Env{}.MarkerElimination(subset())
 	for _, r := range rows {
 		// Eliminating redundant markers can only help (it removes
 		// instructions); allow for sub-0.1-point noise.
@@ -149,7 +149,7 @@ func TestTable2Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 13-benchmark classification pass")
 	}
-	rows := Table2()
+	rows := Env{}.Table2()
 	if len(rows) != 13 {
 		t.Fatalf("%d rows", len(rows))
 	}

@@ -32,10 +32,10 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	for _, mech := range []sim.HWKind{sim.HWBypass, sim.HWVictim} {
 		o := core.DefaultOptions()
 		o.Mechanism = mech
-		serial := RunSweepWorkers(o, ws, parallel.Serial)
+		serial := Env{Workers: parallel.Serial}.Sweep(o, ws)
 		normalize(&serial)
 		for _, workers := range []int{2, 4} {
-			par := RunSweepWorkers(o, ws, workers)
+			par := Env{Workers: workers}.Sweep(o, ws)
 			normalize(&par)
 			if !reflect.DeepEqual(serial, par) {
 				t.Errorf("mechanism %v: %d-worker sweep differs from serial:\nserial: %+v\nparallel: %+v",
@@ -51,8 +51,8 @@ func TestTable3ParallelMatchesSerial(t *testing.T) {
 	// Two workloads keep the 12-sweep flattening honest (cell index maps
 	// to (sweep, workload)) while staying affordable on one CPU.
 	ws := subset()[:2]
-	serialRows, serialSweeps := table3Detail(parallel.Serial, ws, nil, nil)
-	parRows, parSweeps := table3Detail(4, ws, nil, nil)
+	serialRows, serialSweeps := Env{Workers: parallel.Serial}.table3(ws)
+	parRows, parSweeps := Env{Workers: 4}.table3(ws)
 	for i := range serialSweeps {
 		normalize(&serialSweeps[i])
 	}
@@ -69,7 +69,7 @@ func TestTable3ParallelMatchesSerial(t *testing.T) {
 
 func TestTable3Shapes(t *testing.T) {
 	ws := subset()[:1]
-	rows, sweeps := table3Detail(0, ws, nil, nil)
+	rows, sweeps := Env{}.table3(ws)
 	cfgs := sim.ExperimentConfigs()
 	if len(rows) != len(cfgs) {
 		t.Fatalf("%d rows, want %d", len(rows), len(cfgs))
@@ -98,7 +98,7 @@ func TestTable3Shapes(t *testing.T) {
 }
 
 func TestSweepWallClockFilled(t *testing.T) {
-	sw := RunSweepWorkers(core.DefaultOptions(), subset()[:1], parallel.Serial)
+	sw := Env{Workers: parallel.Serial}.Sweep(core.DefaultOptions(), subset()[:1])
 	for _, row := range sw.Rows {
 		for v, st := range row.Stats {
 			if st.WallNanos <= 0 {
@@ -107,6 +107,34 @@ func TestSweepWallClockFilled(t *testing.T) {
 			if st.EventsPerSecond() <= 0 {
 				t.Errorf("%s version %v: EventsPerSecond %.1f", row.Benchmark, core.Version(v), st.EventsPerSecond())
 			}
+		}
+	}
+}
+
+// TestAblationsWorkerInvariant extends the determinism guarantee to the
+// ablation drivers: every row must be identical whether the cells run
+// serially or fan out across two workers. Both environments share one
+// trace cache, so the second replays without re-recording.
+func TestAblationsWorkerInvariant(t *testing.T) {
+	ws := subset()[:2]
+	tc := NewTraceCache("")
+	run := func(e Env) []any {
+		return []any{
+			e.FrozenTables(ws),
+			e.MarkerElimination(ws),
+			e.Propagation(ws),
+			e.BypassPolicy(ws),
+			e.BlockingMemory(ws),
+			e.ThresholdSweep([]float64{0.3, 0.7}, ws),
+			e.CompilerPasses(ws),
+			e.MATDesignSweep(ws),
+		}
+	}
+	serial := run(Env{Workers: parallel.Serial, Traces: tc})
+	par := run(Env{Workers: 2, Traces: tc})
+	for i := range serial {
+		if !reflect.DeepEqual(serial[i], par[i]) {
+			t.Errorf("ablation %d differs between serial and 2 workers:\nserial:   %+v\nparallel: %+v", i, serial[i], par[i])
 		}
 	}
 }

@@ -172,9 +172,9 @@ func (tc *TraceCache) Stats() TraceCacheStats {
 	}
 }
 
-// orNew returns tc, or a fresh private cache when tc is nil — the
-// uncached-entry-point path still records each distinct stream only once
-// within its own sweep.
+// orNew returns tc, or a fresh private cache when tc is nil — a driver
+// without a shared cache still records each distinct stream only once
+// within its own call.
 func (tc *TraceCache) orNew() *TraceCache {
 	if tc != nil {
 		return tc

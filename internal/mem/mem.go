@@ -133,7 +133,8 @@ func (b *EventBlock) Emit(em Emitter) {
 // BatchEmitter receives one call per block instead of one dynamic dispatch
 // per event, and can split the pure per-event math (set indices, tags, page
 // numbers) into tight columnar loops ahead of its stateful walk.
-// trace.Trace.Replay detects the interface and routes replays through it.
+// trace.Trace.ReplayBatched drives it; trace.Trace.Replay is the
+// event-at-a-time reference.
 type BatchEmitter interface {
 	Emitter
 

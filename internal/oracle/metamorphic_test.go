@@ -112,7 +112,7 @@ func TestReplayMatchesRecord(t *testing.T) {
 			t.Parallel()
 			live := core.Run(w.Build, v, o)
 			tr, _, _ := core.RecordTrace(w.Build, v, o)
-			replayed := core.ReplayTrace(tr, v, o)
+			replayed := core.ReplayTrace(tr, v, o, nil)
 
 			a, b := live.Sim, replayed.Sim
 			a.WallNanos, b.WallNanos = 0, 0

@@ -1,10 +1,6 @@
 package report
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // BenchSchema identifies the machine-readable perf artifact format emitted
 // by `cmd/experiments -benchjson` (committed as BENCH_table3.json at the
@@ -90,33 +86,4 @@ func (b *BenchJSON) Finalize() {
 	if b.WallNanos > 0 {
 		b.EventsPerSecond = float64(b.Events) / (float64(b.WallNanos) * 1e-9)
 	}
-}
-
-// WriteFile validates the artifact and writes it as indented JSON with a
-// trailing newline (diff-friendly for a committed file).
-func (b *BenchJSON) WriteFile(path string) error {
-	if err := b.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadBenchJSON reads and validates a perf artifact.
-func LoadBenchJSON(path string) (*BenchJSON, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b BenchJSON
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := b.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &b, nil
 }

@@ -76,7 +76,7 @@ func TestBenchWriteLoadRoundTrip(t *testing.T) {
 	b := sampleBench()
 	b.Finalize()
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := b.WriteFile(path); err != nil {
+	if err := Write(path, b); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -86,7 +86,7 @@ func TestBenchWriteLoadRoundTrip(t *testing.T) {
 	if len(data) == 0 || data[len(data)-1] != '\n' {
 		t.Error("artifact missing trailing newline")
 	}
-	got, err := LoadBenchJSON(path)
+	got, err := Load[BenchJSON](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +104,8 @@ func TestBenchWriteLoadRoundTrip(t *testing.T) {
 func TestBenchWriteFileRefusesInvalid(t *testing.T) {
 	b := sampleBench() // not finalized: ns/event and events/s still zero
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := b.WriteFile(path); err == nil {
-		t.Fatal("WriteFile accepted an unfinalized artifact")
+	if err := Write(path, b); err == nil {
+		t.Fatal("Write accepted an unfinalized artifact")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Error("invalid artifact was still written")
@@ -117,10 +117,10 @@ func TestLoadBenchJSONRejectsForeignSchema(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"schema":"other/v9"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadBenchJSON(path); err == nil || !strings.Contains(err.Error(), "schema") {
+	if _, err := Load[BenchJSON](path); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Fatalf("foreign schema load: err = %v, want schema complaint", err)
 	}
-	if _, err := LoadBenchJSON(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := Load[BenchJSON](filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file load succeeded")
 	}
 }

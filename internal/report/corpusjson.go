@@ -1,10 +1,6 @@
 package report
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // CorpusSchema identifies the machine-readable corpus-profile artifact
 // emitted by `cmd/corpus -out` (committed as CORPUS_smoke.json at the repo
@@ -153,34 +149,4 @@ func (c *CorpusJSON) Validate() error {
 		return fmt.Errorf("corpusjson: profiles cover %d kernels, header says %d", kernels, c.Kernels)
 	}
 	return nil
-}
-
-// WriteFile validates the artifact and writes it as indented JSON with a
-// trailing newline (diff-friendly for a committed file; regeneration from
-// the same corpus parameters is byte-identical).
-func (c *CorpusJSON) WriteFile(path string) error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(c, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadCorpusJSON reads and validates a corpus-profile artifact.
-func LoadCorpusJSON(path string) (*CorpusJSON, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var c CorpusJSON
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &c, nil
 }

@@ -89,10 +89,10 @@ func TestCorpusJSONValidate(t *testing.T) {
 func TestCorpusJSONRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corpus.json")
 	c := validCorpus()
-	if err := c.WriteFile(path); err != nil {
+	if err := Write(path, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCorpusJSON(path)
+	got, err := Load[CorpusJSON](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestCorpusJSONRoundTrip(t *testing.T) {
 	}
 	bad := validCorpus()
 	bad.Schema = "nope"
-	if err := bad.WriteFile(path); err == nil {
-		t.Fatal("WriteFile accepted an invalid artifact")
+	if err := Write(path, bad); err == nil {
+		t.Fatal("Write accepted an invalid artifact")
 	}
 }

@@ -1,10 +1,6 @@
 package report
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // EnergySchema identifies the machine-readable energy-model artifact
 // emitted by `cmd/corpus -energy -out` (committed as ENERGY_smoke.json at
@@ -132,34 +128,4 @@ func (e *EnergyJSON) Validate() error {
 		}
 	}
 	return nil
-}
-
-// WriteFile validates the artifact and writes it as indented JSON with a
-// trailing newline; regeneration from the same parameters is
-// byte-identical.
-func (e *EnergyJSON) WriteFile(path string) error {
-	if err := e.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadEnergyJSON reads and validates an energy-model artifact.
-func LoadEnergyJSON(path string) (*EnergyJSON, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var e EnergyJSON
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := e.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &e, nil
 }

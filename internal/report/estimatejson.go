@@ -1,10 +1,8 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 )
 
 // EstimateSchema identifies the estimator-accuracy artifact emitted by
@@ -158,34 +156,4 @@ func validateAccuracies(where string, vs []EstimateVersionAccuracy) error {
 		}
 	}
 	return nil
-}
-
-// WriteFile validates the artifact and writes it as indented JSON with a
-// trailing newline, matching the committed-artifact conventions of the
-// corpus profile.
-func (e *EstimateJSON) WriteFile(path string) error {
-	if err := e.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadEstimateJSON reads and validates an estimator-accuracy artifact.
-func LoadEstimateJSON(path string) (*EstimateJSON, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var e EstimateJSON
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := e.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &e, nil
 }

@@ -1,10 +1,6 @@
 package report
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // LoadgenSchema identifies the machine-readable traffic artifact emitted
 // by cmd/loadgen (committed as BENCH_loadgen.json at the repo root).
@@ -146,33 +142,4 @@ func (l *LoadgenJSON) Validate() error {
 		}
 	}
 	return nil
-}
-
-// WriteFile validates the artifact and writes it as indented JSON with a
-// trailing newline (diff-friendly for a committed file).
-func (l *LoadgenJSON) WriteFile(path string) error {
-	if err := l.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(l, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadLoadgenJSON reads and validates a traffic artifact.
-func LoadLoadgenJSON(path string) (*LoadgenJSON, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var l LoadgenJSON
-	if err := json.Unmarshal(data, &l); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := l.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &l, nil
 }

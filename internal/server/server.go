@@ -437,7 +437,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Version != "" && !versionKnown(req.Version) {
+	if _, ok := core.ParseVersion(req.Version); req.Version != "" && !ok {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown version %q", req.Version))
 		return
 	}

@@ -4,8 +4,8 @@ import "selcache/internal/mem"
 
 // This file is the machine's half of the columnar batched replay engine
 // (the other half is internal/trace's block cursor). Machine implements
-// mem.BatchEmitter: trace.Replay detects the interface and hands it whole
-// SoA blocks instead of one dynamic dispatch per event.
+// mem.BatchEmitter: trace.ReplayBatched hands it whole SoA blocks instead
+// of one dynamic dispatch per event.
 //
 // EmitBlock walks each block in tiles of batchSpan events and runs two
 // loops per tile:

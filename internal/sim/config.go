@@ -137,6 +137,17 @@ func ExperimentConfigs() []Config {
 	}
 }
 
+// ConfigByName returns the experiment configuration (ExperimentConfigs)
+// with the given name.
+func ConfigByName(name string) (Config, bool) {
+	for _, c := range ExperimentConfigs() {
+		if c.Name == name {
+			return c, true
+		}
+	}
+	return Config{}, false
+}
+
 // HWKind selects the hardware locality-optimization mechanism under test.
 type HWKind int
 
@@ -166,6 +177,19 @@ func (k HWKind) String() string {
 	}
 }
 
+// ParseHWKind maps a mechanism name, "bypass" or "victim", to its kind.
+// HWNone is never selected by name: the versions without a mechanism
+// switch it off themselves.
+func ParseHWKind(s string) (HWKind, bool) {
+	switch s {
+	case "bypass":
+		return HWBypass, true
+	case "victim":
+		return HWVictim, true
+	}
+	return HWNone, false
+}
+
 // PolicyKind selects the cache replacement policy.
 type PolicyKind int
 
@@ -187,6 +211,17 @@ func (k PolicyKind) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParsePolicyKind maps a policy name, "lru" or "ehc", to its kind.
+func ParsePolicyKind(s string) (PolicyKind, bool) {
+	switch s {
+	case "lru":
+		return PolicyLRU, true
+	case "ehc":
+		return PolicyEHC, true
+	}
+	return PolicyLRU, false
 }
 
 // Options configure one simulation run.

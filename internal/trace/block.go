@@ -11,8 +11,8 @@ import "selcache/internal/mem"
 // EmitBlock — one dynamic dispatch per 4096 events instead of one per
 // event.
 
-// DefaultBlockEvents is the block capacity Replay uses when the caller does
-// not supply a Block. 4096 events keeps a block's columns (~80 KB) inside
+// DefaultBlockEvents is the block capacity ReplayBatched uses when the
+// caller does not supply a Block. 4096 events keeps a block's columns (~80 KB) inside
 // the L2 of any host worth benchmarking on while amortizing the per-block
 // bookkeeping to nothing.
 const DefaultBlockEvents = 4096
@@ -91,8 +91,8 @@ func (c *BlockCursor) Next(b *Block) bool {
 
 // ReplayBatched drives be through the columnar engine, reusing blk (one is
 // allocated when nil). It reports false — having emitted nothing — when the
-// stream does not pack; the caller falls back to scalar replay. Event order
-// and per-call arguments are identical to Replay's scalar path.
+// stream does not pack; the caller falls back to Replay. Event order and
+// per-call arguments are identical to Replay's.
 func (t *Trace) ReplayBatched(be mem.BatchEmitter, blk *Block) bool {
 	cur, ok := t.BlockCursor()
 	if !ok {

@@ -51,7 +51,7 @@ func TestBlockCursorMatchesScalar(t *testing.T) {
 func TestReplayBatchedMatchesScalar(t *testing.T) {
 	tr := recordSample(t)
 	var want callLog
-	tr.ReplayScalar(&want)
+	tr.Replay(&want)
 
 	var got batchLog
 	if !tr.ReplayBatched(&got, nil) {
@@ -67,31 +67,6 @@ func TestReplayBatchedMatchesScalar(t *testing.T) {
 		if got.calls[i] != want.calls[i] {
 			t.Fatalf("call %d = %+v, want %+v", i, got.calls[i], want.calls[i])
 		}
-	}
-}
-
-func TestReplayRoutesBatchEmitters(t *testing.T) {
-	tr := recordSample(t)
-	var scalar callLog
-	tr.ReplayScalar(&scalar)
-
-	// Replay must detect mem.BatchEmitter and route through the block
-	// engine...
-	var b batchLog
-	tr.Replay(&b)
-	if b.blocks == 0 {
-		t.Fatal("Replay did not route a BatchEmitter through the block path")
-	}
-	if len(b.calls) != len(scalar.calls) {
-		t.Fatalf("routed replay expanded to %d calls, want %d", len(b.calls), len(scalar.calls))
-	}
-	// ...and leave plain emitters on the scalar path (callLog does not
-	// implement EmitBlock; this is a compile-time fact, the call just
-	// exercises it).
-	var plain callLog
-	tr.Replay(&plain)
-	if len(plain.calls) != len(scalar.calls) {
-		t.Fatalf("plain replay expanded to %d calls, want %d", len(plain.calls), len(scalar.calls))
 	}
 }
 
@@ -121,7 +96,8 @@ func TestBatchedFallbackForUnpackableStream(t *testing.T) {
 	if len(b.calls) != 0 {
 		t.Fatalf("failed batched replay still emitted %d calls", len(b.calls))
 	}
-	// Replay on a BatchEmitter must silently fall back to scalar calls.
+	// The caller's fallback, Replay, still delivers the stream as scalar
+	// calls.
 	tr.Replay(&b)
 	if len(b.calls) != 2 || b.blocks != 0 {
 		t.Fatalf("fallback replay: %d calls, %d blocks; want 2 scalar calls, 0 blocks", len(b.calls), b.blocks)

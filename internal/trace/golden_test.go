@@ -79,7 +79,7 @@ func TestGoldenReplayEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				live := core.Run(w.Build, v, o)
-				replayed := core.ReplayTrace(g, v, o)
+				replayed := core.ReplayTrace(g, v, o, nil)
 				ls, rs := live.Sim, replayed.Sim
 				ls.WallNanos, rs.WallNanos = 0, 0
 				if ls != rs {

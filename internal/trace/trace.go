@@ -346,30 +346,12 @@ func (t *Trace) rebuildWire() []byte {
 }
 
 // Replay drives em with the recorded call sequence: the same calls, the
-// same arguments, the same order as the run that was captured.
-//
-// Consumers implementing mem.BatchEmitter are driven through the columnar
-// batched path (block-decoded SoA event batches, one call per run of
-// homogeneous events) whenever the stream packs; the call sequence is
-// semantically identical and implementations guarantee bit-identical
-// state. ReplayScalar forces the event-at-a-time path.
+// same arguments, the same order as the run that was captured, one
+// emitter call at a time. It is the reference ReplayBatched is validated
+// against, and the path consumers with per-event instrumentation (the
+// differential oracle) use; throughput-bound consumers implementing
+// mem.BatchEmitter call ReplayBatched instead.
 func (t *Trace) Replay(em mem.Emitter) {
-	if !t.ensurePacked() {
-		t.replayWire(em)
-		return
-	}
-	if be, ok := em.(mem.BatchEmitter); ok {
-		t.ReplayBatched(be, nil)
-		return
-	}
-	t.replayPacked(em)
-}
-
-// ReplayScalar replays one emitter call at a time, never batching — the
-// reference path the batched engine is validated against, and the one
-// consumers with per-event instrumentation (the differential oracle) get
-// implicitly by not implementing mem.BatchEmitter.
-func (t *Trace) ReplayScalar(em mem.Emitter) {
 	if !t.ensurePacked() {
 		t.replayWire(em)
 		return
