@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race golden bench-smoke bench-json bench-json-smoke fuzz-smoke serve-smoke cluster-smoke loadgen-smoke loadgen-bench validate-smoke validate corpus corpus-smoke estimate-smoke energy-smoke tier1
+.PHONY: check vet build test race golden inline-check bench-smoke bench-json bench-json-smoke fuzz-smoke serve-smoke cluster-smoke loadgen-smoke loadgen-bench validate-smoke validate corpus corpus-smoke estimate-smoke energy-smoke tier1
 
-check: vet build race golden bench-smoke bench-json-smoke serve-smoke cluster-smoke loadgen-smoke validate-smoke corpus-smoke estimate-smoke energy-smoke fuzz-smoke
+check: vet build inline-check race golden bench-smoke bench-json-smoke serve-smoke cluster-smoke loadgen-smoke validate-smoke corpus-smoke estimate-smoke energy-smoke fuzz-smoke
 
 # tier1 is the fast gate the roadmap requires of every change.
 tier1:
@@ -22,8 +22,21 @@ test:
 
 # race also exercises the parallel-vs-serial determinism tests, which spawn
 # real workers even on one CPU; expect this to take several minutes.
+# internal/experiments alone runs past go test's default 10-minute limit
+# under -race on a 2-CPU host, hence the explicit timeout.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
+
+# The hot probe halves must inline at the machine's probe sites: they
+# resolve most accesses, and a call per probe costs more than the probe.
+# The cache's hook flag and any new field test in LookupFast spend the
+# same inliner budget (80), so this fails the moment they exceed it.
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/sim 2>&1) || { echo "$$out"; exit 1; }; \
+	for fn in 'cache.(*Cache).LookupFast' 'tlb.(*TLB).TranslateFast'; do \
+		echo "$$out" | grep 'machine.go' | grep -qF "inlining call to $$fn" || \
+			{ echo "inline-check: $$fn is not inlined in internal/sim/machine.go"; exit 1; }; \
+	done; echo "inline-check: LookupFast and TranslateFast inline in machine.go"
 
 # The default-knob regeneration of every table and figure must stay
 # byte-identical to the committed reference (about a minute on two CPUs).
@@ -131,11 +144,12 @@ estimate-smoke:
 energy-smoke:
 	$(GO) run ./cmd/corpus -verify ENERGY_smoke.json
 
-# 30 seconds of each fuzz target: enough to shake out codec and
-# marker-elimination regressions on fresh inputs without stalling the
-# gate. FuzzLoadArtifact caps minimization at 100 runs: its seeds are the
-# committed artifacts (up to 176 KB), and minimizing an input that size
-# under the default 60 s budget stalls the whole smoke run.
+# 20–30 seconds of each fuzz target: enough to shake out codec,
+# marker-elimination and cache-key regressions on fresh inputs without
+# stalling the gate. FuzzLoadArtifact caps minimization at 100 runs: its
+# seeds are the committed artifacts (up to 176 KB), and minimizing an
+# input that size under the default 60 s budget stalls the whole smoke
+# run.
 # Longer campaigns: go test ./internal/trace -fuzz FuzzTraceRoundTrip
 fuzz-smoke:
 	$(GO) test ./internal/trace -fuzz FuzzTraceRoundTrip -fuzztime 30s -run '^$$'
@@ -143,3 +157,5 @@ fuzz-smoke:
 	$(GO) test ./internal/oracle -fuzz FuzzSynthOracleEquivalence -fuzztime 20s -run '^$$'
 	$(GO) test ./internal/oracle -fuzz FuzzPolicyOracleEquivalence -fuzztime 20s -run '^$$'
 	$(GO) test ./internal/report -fuzz FuzzLoadArtifact -fuzztime 20s -fuzzminimizetime 100x -run '^$$'
+	$(GO) test ./internal/server -fuzz '^FuzzResolveSpec$$' -fuzztime 20s -run '^$$'
+	$(GO) test ./internal/server -fuzz '^FuzzResultCacheLoad$$' -fuzztime 20s -run '^$$'

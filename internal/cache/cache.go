@@ -103,14 +103,16 @@ type Cache struct {
 	mru []uint8
 
 	// pol, when non-nil, owns victim selection (policy.Policy); the
-	// native stamps keep running (they order snapshots and drive the
-	// lruIndex fallback) but no longer pick victims. nil means native
-	// true-LRU — the default, with LookupFast/LookupSlow untouched.
+	// native stamps keep running (they order snapshots) but no longer
+	// pick victims. nil means native true-LRU, the default.
 	pol policy.Policy
-	// memo, when non-nil, is the way-memoization table. Probes must go
-	// through LookupBlockExt (LookupBlock dispatches there) so the memo
-	// is consulted and maintained.
+	// memo, when non-nil, is the way-memoization table.
 	memo *wayMemo
+	// hooked is pol != nil || memo != nil. LookupFast declines every
+	// probe while it is set, so LookupSlow sees them all and can consult
+	// the memo and notify the policy of every hit; unhooked caches pay
+	// one predictable branch for it.
+	hooked bool
 
 	// Stats accumulates hit/miss counters; the embedding controller is
 	// free to reset it between measurement windows.
@@ -136,19 +138,20 @@ func New(cfg Config) *Cache {
 // SetPolicy attaches a replacement policy built for this cache's
 // geometry. It must be called before any traffic; attaching mid-stream
 // would let policy state diverge from residency.
-func (c *Cache) SetPolicy(p policy.Policy) { c.pol = p }
+func (c *Cache) SetPolicy(p policy.Policy) {
+	c.pol = p
+	c.hooked = c.pol != nil || c.memo != nil
+}
 
 // Policy returns the attached replacement policy (nil = native LRU).
 func (c *Cache) Policy() policy.Policy { return c.pol }
 
 // EnableWayMemo attaches a way-memoization table of the given size
 // (power of two). Like SetPolicy, call before any traffic.
-func (c *Cache) EnableWayMemo(entries int) { c.memo = newWayMemo(entries) }
-
-// Extended reports whether probes must take the LookupBlockExt path
-// (a policy or way memo is attached). Hot probe sites check it once at
-// setup and branch per access on a cached bool.
-func (c *Cache) Extended() bool { return c.pol != nil || c.memo != nil }
+func (c *Cache) EnableWayMemo(entries int) {
+	c.memo = newWayMemo(entries)
+	c.hooked = true
+}
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
@@ -171,105 +174,28 @@ func (c *Cache) BlockShift() uint { return c.blockBits }
 // Lookup probes the cache for the block containing a. On a hit it updates
 // recency (and the dirty bit for writes) and returns true. On a miss it
 // returns false without allocating; the caller decides whether and how to
-// fill. Stats are updated either way.
-func (c *Cache) Lookup(a mem.Addr, write bool) bool {
-	return c.LookupBlock(uint64(a)>>c.blockBits, write)
-}
-
-// LookupBlock is Lookup with the block number (addr >> BlockShift) already
-// computed; the batched engine's pure phase precomputes block columns and
-// the stateful phase probes with them. It is LookupFast composed with
+// fill. Stats are updated either way. It is LookupFast composed with
 // LookupSlow; hot probe sites call the pair directly so the fast half
-// inlines (the composition itself exceeds the inliner's budget). With a
-// policy or way memo attached it dispatches to LookupBlockExt instead —
-// hot sites that cache Extended() make the same choice without the
-// per-probe nil checks.
-func (c *Cache) LookupBlock(block uint64, write bool) bool {
-	if c.pol != nil || c.memo != nil {
-		return c.LookupBlockExt(block, write)
-	}
+// inlines (the composition itself exceeds the inliner's budget).
+func (c *Cache) Lookup(a mem.Addr, write bool) bool {
+	block := uint64(a) >> c.blockBits
 	return c.LookupFast(block, write) || c.LookupSlow(block, write)
 }
 
-// LookupBlockExt is the probe path when a replacement policy or way memo
-// is attached: the exact LookupFast∘LookupSlow composition with the memo
-// probed first and the policy notified of hits. A memo hit resolves the
-// probe with no tag comparisons (the memo is sound: entries are
-// invalidated the moment their line leaves), leaving recency, dirty
-// bits, the MRU hint, statistics and timing exactly as the tag path
-// would have.
-func (c *Cache) LookupBlockExt(block uint64, write bool) bool {
-	c.Stats.Accesses++
-	c.clock++
-	s := int(block & c.setMask)
-	base := s * c.assoc
-	if c.memo != nil {
-		c.memo.stats.Probes++
-		if w, ok := c.memo.probe(block); ok {
-			ln := &c.lines[base+w]
-			if !ln.valid || ln.tag != block {
-				panic("cache: way-memo entry points at a non-matching line")
-			}
-			c.memo.stats.Hits++
-			ln.stamp = c.clock
-			if write {
-				ln.dirty = true
-			}
-			// The MRU hint is set exactly as the tag path would have left
-			// it, so machine state is identical with the memo on or off.
-			c.mru[s] = uint8(w)
-			c.Stats.Hits++
-			if c.pol != nil {
-				c.pol.Hit(s, w)
-			}
-			return true
-		}
-	}
-	if ln := &c.lines[base+int(c.mru[s])]; ln.valid && ln.tag == block {
-		ln.stamp = c.clock
-		if write {
-			ln.dirty = true
-		}
-		c.Stats.Hits++
-		if c.pol != nil {
-			c.pol.Hit(s, int(c.mru[s]))
-		}
-		if c.memo != nil {
-			c.memo.install(block, int(c.mru[s]))
-		}
-		return true
-	}
-	set := c.lines[base : base+c.assoc]
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			set[i].stamp = c.clock
-			if write {
-				set[i].dirty = true
-			}
-			c.mru[s] = uint8(i)
-			c.Stats.Hits++
-			if c.pol != nil {
-				c.pol.Hit(s, i)
-			}
-			if c.memo != nil {
-				c.memo.install(block, i)
-			}
-			return true
-		}
-	}
-	c.Stats.Misses++
-	return false
-}
-
-// LookupFast is the MRU fast path of a probe: it charges the access and
-// resolves it with a single tag compare against the way that hit last. A
-// false return has NOT completed the probe — the caller must immediately
-// call LookupSlow with the same arguments. The split exists so this path,
+// LookupFast is the MRU fast path of a probe of block (addr >>
+// BlockShift): it charges the access and resolves it with a single tag
+// compare against the way that hit last. A false return has NOT completed
+// the probe — the caller must immediately call LookupSlow with the same
+// arguments. With a policy or way memo attached it always returns false,
+// leaving the whole probe to LookupSlow. The split exists so this path,
 // which resolves most probes of any access stream with locality, inlines
 // at the probe site.
 func (c *Cache) LookupFast(block uint64, write bool) bool {
 	c.Stats.Accesses++
 	c.clock++
+	if c.hooked {
+		return false
+	}
 	s := int(block & c.setMask)
 	ln := &c.lines[s*c.assoc+int(c.mru[s])]
 	if ln.valid && ln.tag == block {
@@ -283,25 +209,51 @@ func (c *Cache) LookupFast(block uint64, write bool) bool {
 	return false
 }
 
-// LookupSlow completes a probe LookupFast declined: the full set walk,
-// updating recency and the MRU hint on a hit, charging the miss otherwise.
+// LookupSlow completes a probe LookupFast declined: the way-memo probe
+// (when a memo is attached), else the full set walk; on a hit it updates
+// recency, the dirty bit and the MRU hint and notifies the policy and
+// memo, otherwise it charges the miss. A memo hit resolves the probe with
+// no tag comparisons (the memo is sound: entries are invalidated the
+// moment their line leaves) and leaves exactly the state the walk would
+// have, so timing and statistics are identical with the memo on or off.
 func (c *Cache) LookupSlow(block uint64, write bool) bool {
 	s := int(block & c.setMask)
-	base := s * c.assoc
-	set := c.lines[base : base+c.assoc]
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			set[i].stamp = c.clock
-			if write {
-				set[i].dirty = true
+	set := c.lines[s*c.assoc : (s+1)*c.assoc]
+	w := -1
+	if c.memo != nil {
+		if m, ok := c.memo.probe(block); ok {
+			if !set[m].valid || set[m].tag != block {
+				panic("cache: way-memo entry points at a non-matching line")
 			}
-			c.mru[s] = uint8(i)
-			c.Stats.Hits++
-			return true
+			w = m
 		}
 	}
-	c.Stats.Misses++
-	return false
+	if w < 0 {
+		for i := range set {
+			if set[i].valid && set[i].tag == block {
+				w = i
+				break
+			}
+		}
+		if w < 0 {
+			c.Stats.Misses++
+			return false
+		}
+	}
+	ln := &set[w]
+	ln.stamp = c.clock
+	if write {
+		ln.dirty = true
+	}
+	c.mru[s] = uint8(w)
+	c.Stats.Hits++
+	if c.pol != nil {
+		c.pol.Hit(s, w)
+	}
+	if c.memo != nil {
+		c.memo.install(block, w)
+	}
+	return true
 }
 
 // Contains reports whether the block containing a is resident, without
@@ -315,18 +267,6 @@ func (c *Cache) Contains(a mem.Addr) bool {
 		}
 	}
 	return false
-}
-
-// VictimBlock returns the block address that a Fill for a would displace,
-// and whether that victim is a valid line. It does not modify the cache.
-func (c *Cache) VictimBlock(a mem.Addr) (mem.Addr, bool) {
-	block := uint64(a) >> c.blockBits
-	set := c.set(block)
-	vi := c.victimIndex(int(block&c.setMask), set)
-	if !set[vi].valid {
-		return 0, false
-	}
-	return mem.Addr(set[vi].tag << c.blockBits), true
 }
 
 func lruIndex(set []line) int {
@@ -343,7 +283,7 @@ func lruIndex(set []line) int {
 }
 
 // victimIndex is the single victim-selection seam: every fill path
-// (Fill, FillMiss, VictimWay/FillWay, VictimBlock) routes through it, so
+// (Fill, FillMiss, VictimWay/FillWay) routes through it, so
 // "the victim choice is exactly Fill's" holds by construction rather
 // than by parallel re-implementations. With a policy attached the policy
 // owns the choice; otherwise it is the native first-invalid-else-
@@ -389,9 +329,11 @@ func (c *Cache) FillMiss(a mem.Addr, dirty bool) Evicted {
 	return c.fillWay(block, c.victimIndex(s, c.set(block)), dirty)
 }
 
-// VictimWay is VictimBlock with the chosen way exposed, so a caller that
-// goes on to fill can hand the way back to FillWay instead of paying the
-// LRU scan twice. The triple is only meaningful while the set is untouched.
+// VictimWay returns the way a Fill for a would displace, the block address
+// it holds and whether that line is valid, without modifying the cache. A
+// caller that goes on to fill hands the way back to FillWay instead of
+// paying the victim scan twice. The triple is only meaningful while the
+// set is untouched.
 func (c *Cache) VictimWay(a mem.Addr) (way int, victim mem.Addr, valid bool) {
 	block := uint64(a) >> c.blockBits
 	set := c.set(block)
@@ -485,15 +427,4 @@ func (c *Cache) Flush() int {
 		c.memo.flush()
 	}
 	return dirty
-}
-
-// Resident returns the number of valid lines (test/diagnostic helper).
-func (c *Cache) Resident() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n++
-		}
-	}
-	return n
 }

@@ -96,18 +96,18 @@ func TestWriteHitSetsDirty(t *testing.T) {
 
 func TestVictimBlockPredictsFill(t *testing.T) {
 	c := smallCache()
-	if _, valid := c.VictimBlock(0x000); valid {
+	if _, _, valid := c.VictimWay(0x000); valid {
 		t.Fatal("cold set has a victim")
 	}
 	c.Fill(0x000, false)
 	c.Fill(0x040, false)
-	pred, valid := c.VictimBlock(0x080)
+	_, pred, valid := c.VictimWay(0x080)
 	if !valid {
 		t.Fatal("full set has no victim")
 	}
 	ev := c.Fill(0x080, false)
 	if ev.BlockAddr != pred {
-		t.Fatalf("VictimBlock predicted %#x, Fill evicted %#x", pred, ev.BlockAddr)
+		t.Fatalf("VictimWay predicted %#x, Fill evicted %#x", pred, ev.BlockAddr)
 	}
 }
 
@@ -133,8 +133,10 @@ func TestFlush(t *testing.T) {
 	if d := c.Flush(); d != 1 {
 		t.Fatalf("Flush returned %d dirty lines", d)
 	}
-	if c.Resident() != 0 {
-		t.Fatal("lines resident after flush")
+	for s, set := range c.SnapshotSets() {
+		if len(set) != 0 {
+			t.Fatalf("set %d holds %d lines after flush", s, len(set))
+		}
 	}
 }
 

@@ -220,13 +220,3 @@ func (f *FA) Insert(key uint64, dirty bool) (evictedKey uint64, evictedDirty, ev
 	f.pushFront(i)
 	return evictedKey, evictedDirty, evicted
 }
-
-// Keys returns the resident keys from most- to least-recently used
-// (test/diagnostic helper).
-func (f *FA) Keys() []uint64 {
-	out := make([]uint64, 0, f.n)
-	for i := f.head; i != faNil; i = f.entries[i].next {
-		out = append(out, f.entries[i].key)
-	}
-	return out
-}

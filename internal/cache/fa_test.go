@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -61,12 +62,10 @@ func TestFAKeysOrder(t *testing.T) {
 	f.Insert(2, false)
 	f.Insert(3, false)
 	f.Probe(1, false)
-	got := f.Keys()
-	want := []uint64{1, 3, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Keys() = %v, want %v", got, want)
-		}
+	got := f.Snapshot()
+	want := []FASnapshot{{Key: 1}, {Key: 3}, {Key: 2}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Snapshot() = %v, want %v", got, want)
 	}
 }
 

@@ -5,14 +5,14 @@
 // three events that can change replacement state: a hit, a fill, and an
 // invalidation.
 //
-// Two policies are provided: LRU, a re-expression of the cache's native
-// stamp-based true-LRU replacement (the cache still runs its native
-// stamps when no policy is attached — LRU here exists as the reference
-// implementation of the seam and is proven equivalent by the metamorphic
-// tests in internal/cache), and EHC, Expected-Hit-Count replacement
-// (Vakil Ghahani et al., arXiv 1808.05024), which predicts each line's
+// One policy is provided: EHC, Expected-Hit-Count replacement (Vakil
+// Ghahani et al., arXiv 1808.05024), which predicts each line's
 // remaining hits from the hit counts of its previous generations and
-// evicts the way with the fewest expected future hits.
+// evicts the way with the fewest expected future hits. True LRU is not a
+// Policy: it is the cache's native stamp path, used whenever no policy
+// is attached. A re-expression of it through this seam lives in the
+// internal/cache tests as the reference the native stamps are checked
+// against.
 package policy
 
 // Policy is the replacement-policy interface. Way indices are physical
@@ -25,8 +25,6 @@ package policy
 // otherwise it returns the policy's choice. Victim does not modify
 // policy state — the cache follows it with Fill on the chosen way.
 type Policy interface {
-	// Name returns the short lowercase policy name ("lru", "ehc").
-	Name() string
 	// Hit records a lookup hit (or a fill of an already-resident block)
 	// on the given way.
 	Hit(set, way int)
@@ -39,65 +37,6 @@ type Policy interface {
 	// Victim returns the way a fill into set should displace: the first
 	// invalid way, else the policy's minimum-value way.
 	Victim(set int) int
-}
-
-// lruLine is LRU's per-way state: a recency stamp drawn from a private
-// clock that ticks on every Hit and Fill. Stamps are unique, so the
-// minimum is unambiguous.
-type lruLine struct {
-	stamp uint64
-	valid bool
-}
-
-// LRU is the native replacement policy re-expressed through the seam:
-// victim is the first invalid way, else the minimum-stamp (least
-// recently touched) way — bit-exactly the choice cache.Cache makes with
-// its internal stamps, because both clocks observe the same events in
-// the same order and only relative stamp order matters.
-type LRU struct {
-	assoc int
-	clock uint64
-	lines []lruLine
-}
-
-// NewLRU builds the LRU policy for a sets×assoc cache.
-func NewLRU(sets, assoc int) *LRU {
-	return &LRU{assoc: assoc, lines: make([]lruLine, sets*assoc)}
-}
-
-// Name implements Policy.
-func (p *LRU) Name() string { return "lru" }
-
-// Hit implements Policy.
-func (p *LRU) Hit(set, way int) {
-	p.clock++
-	p.lines[set*p.assoc+way].stamp = p.clock
-}
-
-// Fill implements Policy.
-func (p *LRU) Fill(set, way int, block uint64) {
-	p.clock++
-	p.lines[set*p.assoc+way] = lruLine{stamp: p.clock, valid: true}
-}
-
-// Invalidate implements Policy.
-func (p *LRU) Invalidate(set, way int) {
-	p.lines[set*p.assoc+way] = lruLine{}
-}
-
-// Victim implements Policy: first invalid way, else minimum stamp.
-func (p *LRU) Victim(set int) int {
-	ws := p.lines[set*p.assoc : (set+1)*p.assoc]
-	vi := 0
-	for i := range ws {
-		if !ws[i].valid {
-			return i
-		}
-		if ws[i].stamp < ws[vi].stamp {
-			vi = i
-		}
-	}
-	return vi
 }
 
 // ehcLine is EHC's per-way state: the resident block, its recency stamp
@@ -148,9 +87,6 @@ func NewEHC(sets, assoc, histEntries int) *EHC {
 		histMask: uint64(histEntries - 1),
 	}
 }
-
-// Name implements Policy.
-func (p *EHC) Name() string { return "ehc" }
 
 // Hit implements Policy.
 func (p *EHC) Hit(set, way int) {

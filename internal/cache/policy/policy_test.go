@@ -5,37 +5,6 @@ import (
 	"testing"
 )
 
-// TestLRUVictim hand-drives the LRU policy through fills and hits on one
-// 4-way set and checks every victim decision.
-func TestLRUVictim(t *testing.T) {
-	p := NewLRU(2, 4)
-	// Empty set: victims are the invalid ways in way order.
-	for want := 0; want < 4; want++ {
-		if got := p.Victim(0); got != want {
-			t.Fatalf("fill %d: victim way %d, want first invalid %d", want, got, want)
-		}
-		p.Fill(0, want, uint64(100+want))
-	}
-	// Full set, fill order 0,1,2,3: way 0 is LRU.
-	if got := p.Victim(0); got != 0 {
-		t.Fatalf("full set victim %d, want 0", got)
-	}
-	// Touch way 0: way 1 becomes LRU.
-	p.Hit(0, 0)
-	if got := p.Victim(0); got != 1 {
-		t.Fatalf("after hit on way 0: victim %d, want 1", got)
-	}
-	// Invalidate way 2: invalid ways win immediately.
-	p.Invalidate(0, 2)
-	if got := p.Victim(0); got != 2 {
-		t.Fatalf("after invalidating way 2: victim %d, want 2", got)
-	}
-	// The other set is independent and still empty.
-	if got := p.Victim(1); got != 0 {
-		t.Fatalf("untouched set victim %d, want 0", got)
-	}
-}
-
 // TestEHCHandComputedSequence walks one 2-way set through two
 // generations of a block and checks the history training arithmetic
 // (pred averages: 3, then (3+1)/2=2) and the victim decisions against

@@ -61,7 +61,7 @@ type FASnapshot struct {
 }
 
 // Snapshot returns the resident entries from most- to least-recently used
-// with their dirty payloads (Keys without the payload loss).
+// with their dirty payloads.
 func (f *FA) Snapshot() []FASnapshot {
 	out := make([]FASnapshot, 0, f.n)
 	for i := f.head; i != faNil; i = f.entries[i].next {

@@ -53,9 +53,13 @@ func newWayMemo(entries int) *wayMemo {
 	return &wayMemo{mask: uint64(entries - 1), slots: make([]memoEntry, entries)}
 }
 
+// probe returns the memoized way of block, counting the probe and, when
+// the entry is live, the hit.
 func (m *wayMemo) probe(block uint64) (int, bool) {
+	m.stats.Probes++
 	e := &m.slots[block&m.mask]
 	if e.valid && e.tag == block {
+		m.stats.Hits++
 		return int(e.way), true
 	}
 	return 0, false

@@ -39,8 +39,8 @@ func moveToFront(entries []refLine, i int) {
 // EHC predictor is attached (ehc non-nil), in which case the victim is
 // the minimum-expected-hits line, ties to the least recently used. A
 // reference way memo (memo non-nil) is consulted before the tag scan and
-// maintained at every install and invalidation, mirroring
-// cache.LookupBlockExt's event order exactly.
+// maintained at every install and invalidation, mirroring the event
+// order of cache.LookupSlow on a hooked cache exactly.
 type refCache struct {
 	cfg  cache.Config
 	sets [][]refLine // each ordered MRU first

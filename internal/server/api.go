@@ -86,7 +86,9 @@ type Spec struct {
 
 // ResolveSpec validates a RunRequest's identity fields against the known
 // workloads, configurations and mechanisms and returns the canonical
-// spec plus the simulation options it denotes.
+// spec plus the simulation options it denotes. Defaults are applied and
+// the workload is replaced by its resolved name, so two requests share a
+// spec (and key) exactly when they denote the same cell.
 func ResolveSpec(req RunRequest) (Spec, core.Options, error) {
 	spec := Spec{
 		Workload:      req.Workload,
@@ -107,9 +109,13 @@ func ResolveSpec(req RunRequest) (Spec, core.Options, error) {
 	if spec.Policy == "" {
 		spec.Policy = "lru"
 	}
-	if _, ok := workloads.Resolve(spec.Workload); !ok {
+	wl, ok := workloads.Resolve(spec.Workload)
+	if !ok {
 		return Spec{}, core.Options{}, fmt.Errorf("unknown workload %q", spec.Workload)
 	}
+	// Aliases of one synthetic kernel ("fam#1", "fam#0001") must share a
+	// key, so the spec carries the resolved name, not the request's.
+	spec.Workload = wl.Name
 	cfg, ok := sim.ConfigByName(spec.Config)
 	if !ok {
 		return Spec{}, core.Options{}, fmt.Errorf("unknown config %q", spec.Config)

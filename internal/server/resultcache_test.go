@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -316,4 +317,44 @@ func TestPersistAfterSweepRoundTrips(t *testing.T) {
 	if st := c2.snapshot(); st.TmpSwept != 0 {
 		t.Fatalf("second open swept %d files, want 0", st.TmpSwept)
 	}
+}
+
+// FuzzResultCacheLoad feeds arbitrary bytes to the disk tier's decoder as
+// a persisted <key>.json. Each input is stored under a fixed key and,
+// when it decodes far enough to name a spec, under that spec's key too
+// (the only way arbitrary bytes can be accepted). load must never panic,
+// and anything it accepts must hash to the key it was stored under.
+func FuzzResultCacheLoad(f *testing.F) {
+	c := newResultCache(1, f.TempDir())
+	for _, sr := range []StoredResult{storedN("swim"), {Spec: Spec{Workload: "shallow/affine/small/unit#1", Config: "base", Mechanism: "victim", Policy: "ehc", WayMemo: true}}} {
+		b, err := json.Marshal(sr)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+	}
+	f.Add([]byte(`{"spec":{}}`))
+	f.Add([]byte(`{"spec":null,"row":{"benchmark":7}}`))
+	f.Add([]byte("garbage"))
+	fixed := specN("fixed").Key()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		keys := []string{fixed}
+		var claimed struct {
+			Spec Spec `json:"spec"`
+		}
+		if json.Unmarshal(data, &claimed) == nil {
+			keys = append(keys, claimed.Spec.Key())
+		}
+		for _, key := range keys {
+			if err := os.WriteFile(c.path(key), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			sr, err := c.load(key)
+			if err == nil && sr.Spec.Key() != key {
+				t.Fatalf("load accepted a result whose spec %+v hashes to %s, stored under %s", sr.Spec, sr.Spec.Key(), key)
+			}
+			os.Remove(c.path(key))
+		}
+	})
 }

@@ -195,7 +195,8 @@ type PolicyKind int
 
 const (
 	// PolicyLRU is true-LRU replacement — the default, served by the
-	// caches' native stamp path (no policy object attached).
+	// caches' native stamps, the program's only LRU: no policy object is
+	// attached.
 	PolicyLRU PolicyKind = iota
 	// PolicyEHC is Expected-Hit-Count replacement (arXiv 1808.05024).
 	PolicyEHC
@@ -245,7 +246,9 @@ type Options struct {
 	Classify bool
 
 	// Policy selects the replacement policy for both cache levels.
-	// PolicyLRU (the zero value) runs the native stamp path untouched.
+	// PolicyLRU (the zero value) attaches none: the native stamps pick
+	// victims and the inlined probe fast half stays in play. PolicyEHC
+	// attaches EHC to both levels, routing every probe to LookupSlow.
 	Policy PolicyKind
 	// WayMemo enables the way-memoization tables on both cache levels.
 	// Timing and hit/miss statistics are unaffected (a memo hit is a

@@ -91,12 +91,6 @@ type Machine struct {
 	vc1  *cache.Victim
 	vc2  *cache.Victim
 
-	// ext caches l1.Extended() (a policy or way memo is attached; both
-	// levels always agree): probe sites branch on it to pick the
-	// LookupBlockExt path without per-probe nil checks, leaving the
-	// default LookupFast/LookupSlow pair — and its inlining — untouched.
-	ext bool
-
 	hwOn bool
 
 	cycles        float64
@@ -163,7 +157,6 @@ func NewMachine(cfg Config, opt Options) *Machine {
 		m.l1.EnableWayMemo(opt.L1MemoEntries)
 		m.l2.EnableWayMemo(opt.L2MemoEntries)
 	}
-	m.ext = m.l1.Extended()
 	m.l1Shift = m.l1.BlockShift()
 	m.pageShift = m.dtlb.PageShift()
 	return m
@@ -254,7 +247,8 @@ func (m *Machine) access1(addr mem.Addr, write bool, block, page uint64) {
 	m.cycles += m.invPorts
 
 	// Fast/slow probe pairs: the Fast half inlines here (see the cache and
-	// tlb packages); the Slow half is the out-of-line full set walk.
+	// tlb packages); the Slow half is the out-of-line full set walk, and
+	// the whole probe when a replacement policy or way memo is attached.
 	if !(m.dtlb.TranslateFast(page) || m.dtlb.TranslateSlow(page)) {
 		m.stall(float64(m.cfg.TLBLat))
 	}
@@ -276,12 +270,7 @@ func (m *Machine) access1(addr mem.Addr, write bool, block, page uint64) {
 		m.sldt.Observe(addr)
 	}
 
-	var hit bool
-	if m.ext {
-		hit = m.l1.LookupBlockExt(block, write)
-	} else {
-		hit = m.l1.LookupFast(block, write) || m.l1.LookupSlow(block, write)
-	}
+	hit := m.l1.LookupFast(block, write) || m.l1.LookupSlow(block, write)
 	if m.cls1 != nil {
 		m.cls1.Observe(addr, !hit)
 	}
@@ -354,12 +343,7 @@ func (m *Machine) fetch(addr mem.Addr, dword bool, hw bool) float64 {
 		fill = 1
 	}
 	b2 := uint64(addr) >> m.l2.BlockShift()
-	var l2hit bool
-	if m.ext {
-		l2hit = m.l2.LookupBlockExt(b2, false)
-	} else {
-		l2hit = m.l2.LookupFast(b2, false) || m.l2.LookupSlow(b2, false)
-	}
+	l2hit := m.l2.LookupFast(b2, false) || m.l2.LookupSlow(b2, false)
 	if m.cls2 != nil {
 		m.cls2.Observe(addr, !l2hit)
 	}

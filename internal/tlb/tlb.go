@@ -76,17 +76,12 @@ func New(cfg Config) *TLB {
 func (t *TLB) PageShift() uint { return t.pageBits }
 
 // Translate looks up the page containing a, filling on a miss, and reports
-// whether the lookup hit.
+// whether the lookup hit. It is TranslateFast composed with TranslateSlow;
+// hot probe sites call the pair directly with a precomputed page number
+// (addr >> PageShift) so the fast half inlines (the composition itself
+// exceeds the inliner's budget).
 func (t *TLB) Translate(a mem.Addr) bool {
-	return t.TranslatePage(uint64(a) >> t.pageBits)
-}
-
-// TranslatePage is Translate with the page number (addr >> PageShift)
-// already computed by the batched engine's pure phase. It is TranslateFast
-// composed with TranslateSlow; hot probe sites call the pair directly so
-// the fast half inlines (the composition itself exceeds the inliner's
-// budget).
-func (t *TLB) TranslatePage(page uint64) bool {
+	page := uint64(a) >> t.pageBits
 	return t.TranslateFast(page) || t.TranslateSlow(page)
 }
 
